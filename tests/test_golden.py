@@ -1,0 +1,83 @@
+"""Golden, seed-pinned digests of the CLI studies.
+
+Each case runs one CLI command on a small, seed-pinned input and compares
+the SHA-256 digest of every file it writes (and of stdout where the command
+reports there) with the checked-in value.  A refactor that claims to change
+no numbers must leave every digest as it is; re-pin one only together with
+a CHANGES.md entry that says which output moved and why.
+"""
+
+import hashlib
+import json
+from importlib import resources
+
+import pytest
+
+from syncgrid.cli import main
+
+RTS96 = str(resources.files("syncgrid").joinpath("data/rts96.json"))
+
+# Criterion-08 cells at a small sample count.
+MONTECARLO_CELLS = [
+    {"n": 10, "model": "erg", "p": 0.3, "alpha": 8.0},
+    {"n": 20, "model": "erg", "p": 0.3, "alpha": 15.0},
+    {"n": 30, "model": "smn", "p": 0.2, "alpha": 13.0},
+]
+
+# name -> (argv with OUT/CELLS placeholders, {output label: digest})
+GOLDEN = {
+    "montecarlo": (
+        ["montecarlo", "--cells", "CELLS", "--samples", "12", "--seed", "3", "--out", "OUT"],
+        {"out":
+         "c6469810086548da7c218695b7030f1670fd81733d9dfb44ac2e4a155df636f7"},
+    ),
+    "accuracy": (
+        ["accuracy", "--sizes", "10", "--ps", "0.2,0.8", "--samples", "3", "--seed", "1",
+         "--out", "OUT"],
+        {"out":
+         "2cd4d1ac8dc7f23642059ac39597e96e3bfaf8d0ebae9c2fae6f88e61d63c80e"},
+    ),
+    "scenario": (
+        ["scenario", "--case", RTS96, "--samples", "40", "--seed", "2", "--out", "OUT"],
+        {"out":
+         "7a62b9b901a73dc6195844c4450d0f310e1719a2446088b9e981aa998b0388ab"},
+    ),
+    "contingency": (
+        ["contingency", "--case", RTS96, "--trip", "gen:323", "--ramp", "southeast",
+         "--points", "21", "--out", "OUT"],
+        {"out":
+         "36896ff182cfb5f9463cfaf392230db7218426f3ec6f4af883623934e8873b15",
+         "stdout":
+         "afb40c9ca11d79f3ec7f68938e61b3dd11331527d548c289b9ac85dd2a6132ce"},
+    ),
+    "gen": (
+        ["gen", "--model", "smn", "--n", "20", "--p", "0.2", "--alpha", "13", "--seed", "5",
+         "--sample", "1", "--out", "OUT"],
+        {"out":
+         "a5e09821a595ceff21fc97a52baea5510fec0b317a81d2f348cc6571c4dca731"},
+    ),
+    "powerflow_ac": (
+        ["powerflow", "--case", RTS96, "--mode", "ac", "--out", "OUT"],
+        {"out":
+         "b639ea0d5df8a685a52d86b6ff750a68d6624f3528f230eb73e166d9a2d89473"},
+    ),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_output_digest(name, tmp_path, capsys):
+    argv, expected = GOLDEN[name]
+    out = tmp_path / "out"
+    cells = tmp_path / "cells.json"
+    cells.write_text(json.dumps(MONTECARLO_CELLS))
+    substitute = {"OUT": str(out), "CELLS": str(cells)}
+    capsys.readouterr()
+    assert main([substitute.get(arg, arg) for arg in argv]) == 0
+    actual = {"out": _sha256(out.read_bytes())}
+    if "stdout" in expected:
+        actual["stdout"] = _sha256(capsys.readouterr().out.encode("utf-8"))
+    assert actual == expected
