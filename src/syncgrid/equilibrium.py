@@ -63,14 +63,7 @@ def jacobian(g: WeightedGraph, theta) -> np.ndarray:
 
     Symmetric with zero row sums; equals -L at theta = 0.
     """
-    c = g.weights * np.cos(edge_differences(g, theta))
-    jac = np.zeros((g.n, g.n))
-    s, t = g.sources, g.sinks
-    np.add.at(jac, (s, s), -c)
-    np.add.at(jac, (t, t), -c)
-    np.add.at(jac, (s, t), c)
-    np.add.at(jac, (t, s), c)
-    return jac
+    return g.laplacian(-g.weights * np.cos(edge_differences(g, theta)))
 
 
 @dataclass(frozen=True)

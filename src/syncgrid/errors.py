@@ -36,7 +36,7 @@ class NonZeroMeanFrequenciesError(SyncgridError):
 
 
 class GammaOutOfRangeError(SyncgridError):
-    """Cohesiveness angle outside [0, pi/2)."""
+    """Cohesiveness angle outside [0, pi/2]."""
 
 
 class PsiOutOfRangeError(SyncgridError):

@@ -9,6 +9,14 @@ incidence sign convention is +1 at the sink and -1 at the source, so
 
 Results of the synchronization analysis are orientation invariant; the
 fixed convention only pins down signs in golden outputs.
+
+This module is the one place that maps edges onto nodes.
+WeightedGraph.laplacian(c) assembles B diag(c) B^T for any edge vector c:
+the weights by default, -a cos(B^T theta) for the Newton Jacobian.  Its
+diagonal, the weighted degrees and the divergence are each one np.bincount
+over edge endpoints.  A BFS tree from node 1 in edge order, cached on the
+frozen graph, answers connectivity, closes the fundamental cycles and
+integrates edge angles into node angles.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import io
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +38,20 @@ from .errors import (
 
 # Relative tolerance for declaring a Laplacian eigenvalue zero.
 ZERO_EIGENVALUE_RTOL = 1e-9
+
+
+class BFSTree(NamedTuple):
+    """Spanning tree as visit order plus, per node, parent, parent edge and depth.
+
+    Node indices are 0-based, like sources and sinks.  The root (index 0)
+    has parent and parent edge -1; unreached nodes have depth -1 and are
+    missing from order.
+    """
+
+    order: list[int]
+    parent: list[int]
+    parent_edge: list[int]
+    depth: list[int]
 
 
 @dataclass(frozen=True)
@@ -100,21 +123,46 @@ class WeightedGraph:
         b[self.sinks, np.arange(self.m)] = 1.0
         return b
 
-    def laplacian(self) -> np.ndarray:
-        """Weighted Laplacian L = B diag(a) B^T."""
-        lap = np.zeros((self.n, self.n))
-        s, t, w = self.sources, self.sinks, self.weights
-        np.add.at(lap, (s, s), w)
-        np.add.at(lap, (t, t), w)
-        np.add.at(lap, (s, t), -w)
-        np.add.at(lap, (t, s), -w)
+    @cached_property
+    def _endpoints(self) -> np.ndarray:
+        """Every edge's source, then every edge's sink: node sums bin on these."""
+        return np.concatenate([self.sources, self.sinks])
+
+    def _node_sum(self, c: np.ndarray) -> np.ndarray:
+        """|B| c: per node, the sum of c over the incident edges."""
+        return np.bincount(self._endpoints, np.concatenate([c, c]), self.n)
+
+    def laplacian(self, c=None) -> np.ndarray:
+        """B diag(c) B^T for an edge vector c; the weighted Laplacian by default."""
+        c = self.weights if c is None else np.asarray(c, dtype=float)
+        if c.shape != (self.m,):
+            raise DimensionMismatchError(f"expected {self.m} edge values, got {c.shape}")
+        lap = np.diag(self._node_sum(c))
+        lap[self.sources, self.sinks] = -c
+        lap[self.sinks, self.sources] = -c
         return lap
 
     def weighted_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n)
-        np.add.at(deg, self.sources, self.weights)
-        np.add.at(deg, self.sinks, self.weights)
-        return deg
+        return self._node_sum(self.weights)
+
+    @cached_property
+    def bfs_tree(self) -> "BFSTree":
+        """Breadth-first spanning tree from index 0, neighbours taken in edge order."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for k, (i, j, _) in enumerate(self.edges):
+            adj[i - 1].append((j - 1, k))
+            adj[j - 1].append((i - 1, k))
+        parent = [-1] * self.n
+        parent_edge = [-1] * self.n
+        depth = [-1] * self.n
+        depth[0] = 0
+        order = [0]
+        for u in order:  # order grows while it is walked: a FIFO queue
+            for v, k in adj[u]:
+                if depth[v] < 0:
+                    parent[v], parent_edge[v], depth[v] = u, k, depth[u] + 1
+                    order.append(v)
+        return BFSTree(order=order, parent=parent, parent_edge=parent_edge, depth=depth)
 
     def with_weights(self, weights) -> "WeightedGraph":
         """Same topology with a new weight per (sorted) edge."""
@@ -149,28 +197,12 @@ def divergence(g: WeightedGraph, psi) -> np.ndarray:
     if psi.shape != (g.m,):
         raise DimensionMismatchError(f"expected length-{g.m} edge vector, got {psi.shape}")
     flow = g.weights * psi
-    out = np.zeros(g.n)
-    np.add.at(out, g.sinks, flow)
-    np.subtract.at(out, g.sources, flow)
-    return out
+    return np.bincount(np.concatenate([g.sinks, g.sources]), np.concatenate([flow, -flow]), g.n)
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    """Union-find connectivity check (independent of any spectral test)."""
-    parent = list(range(g.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j, _ in g.edges:
-        ra, rb = find(i - 1), find(j - 1)
-        if ra != rb:
-            parent[ra] = rb
-    root = find(0)
-    return all(find(k) == root for k in range(g.n))
+    """True when the BFS tree reaches every node (independent of any spectral test)."""
+    return len(g.bfs_tree.order) == g.n
 
 
 def require_connected(g: WeightedGraph) -> None:
@@ -248,80 +280,34 @@ class CycleBasis:
     rank: int
 
 
-def _spanning_tree(g: WeightedGraph) -> tuple[list[int], list[list[tuple[int, int]]]]:
-    """BFS spanning tree from node 0.
-
-    Returns (tree edge indices, adjacency restricted to the tree) where
-    adjacency entries are (neighbor, edge index).
-    """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for k in range(g.m):
-        s, t = int(g.sources[k]), int(g.sinks[k])
-        adj[s].append((t, k))
-        adj[t].append((s, k))
-    visited = [False] * g.n
-    visited[0] = True
-    tree_edges: list[int] = []
-    tree_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for v, k in adj[u]:
-            if not visited[v]:
-                visited[v] = True
-                tree_edges.append(k)
-                tree_adj[u].append((v, k))
-                tree_adj[v].append((u, k))
-                queue.append(v)
-    if not all(visited):
-        raise DisconnectedGraphError("spanning tree does not reach every node")
-    return tree_edges, tree_adj
-
-
-def _tree_path(tree_adj: list[list[tuple[int, int]]], start: int, goal: int) -> list[tuple[int, int, int]]:
-    """Path start -> goal in the tree as steps (from_node, to_node, edge index)."""
-    prev: dict[int, tuple[int, int]] = {start: (-1, -1)}
-    queue = [start]
-    while queue:
-        u = queue.pop(0)
-        if u == goal:
-            break
-        for v, k in tree_adj[u]:
-            if v not in prev:
-                prev[v] = (u, k)
-                queue.append(v)
-    steps: list[tuple[int, int, int]] = []
-    node = goal
-    while node != start:
-        u, k = prev[node]
-        steps.append((u, node, k))
-        node = u
-    steps.reverse()
-    return steps
-
-
 def cycle_basis(g: WeightedGraph) -> CycleBasis:
-    """Fundamental-cycle basis of Ker(B).
+    """Fundamental-cycle basis of Ker(B) over the BFS tree.
 
     Each non-tree edge (chord) closes one cycle: the chord is traversed
     source -> sink (+1) and the unique tree path sink -> source contributes
-    +-1 per edge according to traversal versus orientation.  Trees yield an
-    empty basis.
+    +-1 per edge according to traversal versus orientation.  The path is
+    found by climbing parents from both ends to their common ancestor.
+    Trees yield an empty basis.
     """
     require_connected(g)
-    tree_edges, tree_adj = _spanning_tree(g)
+    _, parent, parent_edge, depth = g.bfs_tree
     in_tree = np.zeros(g.m, dtype=bool)
-    in_tree[tree_edges] = True
-    chords = [k for k in range(g.m) if not in_tree[k]]
-    rank = g.m - g.n + 1
+    in_tree[parent_edge[1:]] = True  # every non-root node, all reached
+    chords = np.flatnonzero(~in_tree)
     vectors = np.zeros((len(chords), g.m))
     for row, k in enumerate(chords):
-        s, t = int(g.sources[k]), int(g.sinks[k])
         vectors[row, k] = 1.0
-        for u, v, ke in _tree_path(tree_adj, t, s):
-            vectors[row, ke] = 1.0 if int(g.sources[ke]) == u else -1.0
-    assert len(chords) == rank
-    return CycleBasis(vectors=vectors, rank=rank)
+        u, v = int(g.sinks[k]), int(g.sources[k])  # walk u -> v along the tree
+        while u != v:
+            if depth[u] >= depth[v]:  # step up from u: +1 when leaving an edge's source
+                ke = parent_edge[u]
+                vectors[row, ke] = 1.0 if g.sources[ke] == u else -1.0
+                u = parent[u]
+            else:  # step down into v: +1 when entering an edge's sink
+                ke = parent_edge[v]
+                vectors[row, ke] = 1.0 if g.sinks[ke] == v else -1.0
+                v = parent[v]
+    return CycleBasis(vectors=vectors, rank=len(chords))
 
 
 @dataclass(frozen=True)
@@ -359,10 +345,7 @@ def is_single_cycle(g: WeightedGraph) -> bool:
     """True when the graph is one cycle: connected, m == n, all degrees 2."""
     if g.m != g.n or g.n < 3 or not is_connected(g):
         return False
-    deg = np.zeros(g.n, dtype=int)
-    np.add.at(deg, g.sources, 1)
-    np.add.at(deg, g.sinks, 1)
-    return bool(np.all(deg == 2))
+    return bool(np.all(g._node_sum(np.ones(g.m)) == 2))
 
 
 # --- serialization ---

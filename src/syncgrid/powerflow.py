@@ -315,12 +315,12 @@ def build_oscillator_model(case: PowerCase) -> OscillatorNetwork:
     so the synchronization frequency is zero.
     """
     g = case_graph(case)
-    order = case.bus_order
-    second = frozenset(k + 1 for k, bid in enumerate(order) if case.bus(bid).kind == "gen")
+    by_id = {b.id: b for b in case.buses}
+    buses = [by_id[bid] for bid in case.bus_order]
+    second = frozenset(k + 1 for k, b in enumerate(buses) if b.kind == "gen")
     m = np.ones(g.n) * DEFAULT_INERTIA
     d = np.empty(g.n)
-    for k, bid in enumerate(order):
-        b = case.bus(bid)
+    for k, b in enumerate(buses):
         if b.inertia is not None:
             m[k] = b.inertia
         d[k] = b.damping if b.damping is not None else (
@@ -344,7 +344,10 @@ def dc_power_flow(case: PowerCase) -> DCFlowResult:
     The largest edge difference of delta equals the synchronization margin
     by construction (identical linear system).
     """
-    net = build_oscillator_model(case)
+    return _dc_flow(build_oscillator_model(case))
+
+
+def _dc_flow(net: OscillatorNetwork) -> DCFlowResult:
     if not is_connected(net.graph):
         raise SingularSystemError("case network is disconnected")
     delta = solve_poisson(net.graph, net.omega)
@@ -356,7 +359,7 @@ def dc_power_flow(case: PowerCase) -> DCFlowResult:
 def ac_power_flow(case: PowerCase, gamma: float = math.pi / 2) -> EquilibriumSolution | Infeasible:
     """Nonlinear power flow via Newton, seeded with the DC solution."""
     net = build_oscillator_model(case)
-    dc = dc_power_flow(case)
+    dc = _dc_flow(net)
     try:
         return solve_equilibrium(net.graph, net.omega, theta0=dc.delta, gamma=gamma)
     except (NoConvergenceError, SingularJacobianError) as exc:
@@ -532,8 +535,8 @@ def apply_ramp(case: PowerCase, ramp: RampSpec, loading: float) -> PowerCase:
 
 def _margin_and_utilization(case: PowerCase) -> tuple[float, float, tuple[int, int] | None]:
     net = build_oscillator_model(case)
-    psi = edge_differences(net.graph, solve_poisson(net.graph, net.omega))
-    margin = float(np.max(np.abs(psi))) if len(psi) else 0.0
+    assessment = sync_margin(net.graph, net.omega)
+    psi = assessment.psi_particular
     limits = branch_angle_limits(case)
     best = 0.0
     binding = None
@@ -545,7 +548,7 @@ def _margin_and_utilization(case: PowerCase) -> tuple[float, float, tuple[int, i
         util = predicted / limit
         if util > best:
             best, binding = util, (i, j)
-    return margin, best, binding
+    return assessment.margin, best, binding
 
 
 def contingency_scan(

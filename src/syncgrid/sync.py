@@ -168,23 +168,11 @@ def _assemble_from_edge_angles(g: WeightedGraph, edge_angles: np.ndarray) -> np.
     edge_angles[k] is the prescribed theta_sink - theta_source for edge k.
     Gauge: theta_1 = 0.
     """
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for k in range(g.m):
-        s, t = int(g.sources[k]), int(g.sinks[k])
-        adj[s].append((t, k))
-        adj[t].append((s, k))
+    tree = g.bfs_tree
     theta = np.zeros(g.n)
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v, k in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                sign = 1.0 if int(g.sources[k]) == u else -1.0
-                theta[v] = theta[u] + sign * edge_angles[k]
-                stack.append(v)
+    for v in tree.order[1:]:
+        u, k = tree.parent[v], tree.parent_edge[v]
+        theta[v] = theta[u] + (edge_angles[k] if g.sinks[k] == v else -edge_angles[k])
     return theta
 
 
@@ -353,43 +341,18 @@ class MinNormSolution:
     norm: float
 
 
-def _chebyshev_1d(psi: np.ndarray, h: np.ndarray) -> float:
-    """Minimize max_e |psi_e + lam * h_e| over lam (piecewise-linear convex).
-
-    The optimum sits at an intersection of two of the affine pieces, so all
-    pairwise candidates are enumerated.
-    """
-    candidates = [0.0]
-    m = len(psi)
-    for i in range(m):
-        for j in range(i, m):
-            denom = h[j] - h[i]
-            if abs(denom) > 1e-15:
-                candidates.append((psi[i] - psi[j]) / denom)
-            denom = h[i] + h[j]
-            if abs(denom) > 1e-15:
-                candidates.append(-(psi[i] + psi[j]) / denom)
-    best = min(candidates, key=lambda lam: np.max(np.abs(psi + lam * h)))
-    return float(best)
-
-
 def min_infinity_norm_solution(g: WeightedGraph, omega) -> MinNormSolution:
     """Solve min ||psi||_inf subject to B diag(a) psi = omega.
 
     Parametrized over the cycle space, psi = psi_pt + diag(1/a) C^T mu, the
-    problem is an unconstrained Chebyshev minimization: solved in closed
-    form for at most one independent cycle and as an epigraph LP otherwise.
-    On trees the solution is unique and equals psi_pt.
+    problem is an unconstrained Chebyshev minimization, solved as an
+    epigraph LP.  On trees the solution is unique and equals psi_pt.
     """
     space = auxiliary_solution_space(g, omega)
     psi_pt = space.psi_particular
     rank = space.basis.rank
     if rank == 0 or g.m == 0:
         psi_star = psi_pt.copy()
-    elif rank == 1:
-        h = space.basis.vectors[0] / g.weights
-        lam = _chebyshev_1d(psi_pt, h)
-        psi_star = psi_pt + lam * h
     else:
         h_mat = (space.basis.vectors / g.weights).T  # (m, rank)
         a_ub = np.block([

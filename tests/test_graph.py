@@ -18,6 +18,7 @@ from syncgrid.graph import (
     build_laplacian,
     connectivity_metrics,
     cycle_basis,
+    divergence,
     edge_differences,
     edge_infinity_norm,
     graph_from_dict,
@@ -89,10 +90,27 @@ def test_edge_norm_equals_incidence_route(seed):
     assert direct == via_b
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_node_operators_equal_dense_incidence_products(seed):
+    # laplacian(c), weighted degrees and divergence against the dense B.
+    g = random_connected_graph(seed)
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=g.m)  # any edge vector, signs included
+    psi = rng.normal(size=g.m)
+    b = g.incidence()
+    assert np.allclose(g.laplacian(c), b @ np.diag(c) @ b.T, rtol=0, atol=1e-12)
+    assert np.allclose(g.laplacian(), b @ np.diag(g.weights) @ b.T, rtol=0, atol=1e-12)
+    assert np.allclose(g.weighted_degrees(), np.abs(b) @ g.weights, rtol=0, atol=1e-12)
+    assert np.allclose(divergence(g, psi), b @ (g.weights * psi), rtol=0, atol=1e-12)
+
+
 def test_edge_norm_dimension_mismatch():
     g = WeightedGraph.from_edges(2, [(1, 2, 1.0)])
     with pytest.raises(DimensionMismatchError):
         edge_infinity_norm(g, [1.0, 2.0, 3.0])
+    with pytest.raises(DimensionMismatchError):
+        g.laplacian([1.0, 2.0])
 
 
 def test_cycle_basis_tree_is_empty():
@@ -169,18 +187,21 @@ def test_resistance_symmetry():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_spectral_sufficient_and_necessary_sandwich(seed):
-    # lambda2 >= ||omega||_{E,inf} forces margin <= 1; margin <= sin(gamma)
-    # in turn forces 2 deg(G) >= ||omega||_{E,inf} sin(gamma).
+    # Unit weights: B^T omega = (B^T B) B^T Ldag omega, and the edge Laplacian
+    # B^T B has smallest nonzero eigenvalue lambda2 on the cut space, so
+    # lambda2 >= ||B^T omega||_2 forces ||B^T Ldag omega||_2 <= 1, hence
+    # margin <= 1.  (The inf-norm version of this premise is not sufficient.)
+    # Weighted: margin <= sin(gamma) forces 2 deg(G) >= ||omega||_{E,inf} sin(gamma).
     from syncgrid.sync import sync_margin
 
     g = random_connected_graph(seed)
     omega = random_zero_mean(seed + 2, g.n)
-    bundle = build_laplacian(g)
+    unit = g.with_weights(np.ones(g.m))
+    spread_2 = float(np.linalg.norm(edge_differences(unit, omega)))
+    if spread_2 > 0:
+        omega_scaled = omega * (build_laplacian(unit).lambda2 / spread_2)  # lambda2 == spread_2
+        assert sync_margin(unit, omega_scaled).margin <= 1.0 + 1e-9
     spread = edge_infinity_norm(g, omega)
-    if spread > 0:
-        omega_scaled = omega * (bundle.lambda2 / spread)  # lambda2 == spread now
-        margin = sync_margin(g, omega_scaled).margin
-        assert margin <= 1.0 + 1e-9
     margin = sync_margin(g, omega).margin
     if margin <= 1.0:
         gamma = math.asin(margin)
