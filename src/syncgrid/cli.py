@@ -161,18 +161,12 @@ def _cmd_scenario(args) -> int:
     header = ["sample", "margin", "gamma_pred", "cohesiveness", "accuracy", "correct"]
     rows = []
     for k in range(args.samples):
-        randomized = powerflow.randomize_scenario(case, cfg, sample=k)
-        net = powerflow.build_oscillator_model(randomized)
-        assessment = sync.sync_margin(net.graph, net.omega)
-        sol = powerflow.ac_power_flow(randomized)
-        if isinstance(sol, sync.Infeasible) or assessment.gamma_pred is None:
-            rows.append([k, assessment.margin, math.nan, math.nan, math.nan, False])
+        margin, gamma_pred, cohesiveness = powerflow.scenario_sample(case, cfg, sample=k)
+        if cohesiveness is None:
+            rows.append([k, margin, math.nan, math.nan, math.nan, False])
             continue
-        accuracy = sol.cohesiveness - assessment.gamma_pred
-        rows.append([
-            k, assessment.margin, assessment.gamma_pred, sol.cohesiveness,
-            accuracy, bool(sol.cohesiveness <= assessment.gamma_pred + 1e-4),
-        ])
+        rows.append([k, margin, gamma_pred, cohesiveness, cohesiveness - gamma_pred,
+                     bool(cohesiveness <= gamma_pred + 1e-4)])
     experiments.write_rows_csv(header, rows, args.out)
     return 0
 

@@ -75,6 +75,10 @@ class NoSyncInBracketError(SyncgridError):
 
 # --- sampling ---
 
+class InvalidSpecError(SyncgridError, ValueError):
+    """Random network parameters outside their documented ranges."""
+
+
 class ConnectivityRetryExceededError(SyncgridError):
     """Random graph sampling failed to produce a connected graph."""
 

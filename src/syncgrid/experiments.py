@@ -6,6 +6,10 @@ equilibrium at gamma.  accuracy_experiment measures how close the margin
 normalizer is to the true critical coupling of gain-parametrized networks.
 Sample counts map to statistical accuracy through the Chernoff bound.
 
+This module runs one cell or one grid point; the `syncgrid montecarlo` and
+`syncgrid accuracy` subcommands are the entry points that loop over cells
+and grids and write the tables (README lists the presets).
+
 All experiments are deterministic functions of their master seed; cells
 and samples use independent substreams, so results are identical whether
 run serially or split across workers.
@@ -116,7 +120,8 @@ class AccuracyResult:
 
     @property
     def mean_ratio(self) -> float:
-        return float(np.mean(self.ratios))
+        """Mean of the ratios; nan when no sample yielded one."""
+        return float(np.mean(self.ratios)) if self.ratios else math.nan
 
 
 def accuracy_experiment(
@@ -167,7 +172,7 @@ def _json_token(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
+        return format(float(value), ".12g") if math.isfinite(value) else "null"
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (list, tuple, np.ndarray)):
@@ -179,7 +184,7 @@ def _json_token(value) -> str:
 
 
 def write_report_json(payload: dict, path: str) -> None:
-    """Byte-deterministic JSON: sorted keys, %.12g floats."""
+    """Byte-deterministic JSON: sorted keys, %.12g floats, null for nan/inf."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_json_token(payload))
         fh.write("\n")
@@ -197,14 +202,10 @@ def write_rows_csv(header: list[str], rows: list[list], path: str) -> None:
 SCHEMA_VERSION = 1
 
 
-def emit_report(result, fmt: str, path: str) -> None:
-    """Serialize an experiment result to CSV or JSON.
-
-    Output bytes are deterministic for fixed inputs: sorted keys and fixed
-    float formatting, with the schema version, seed and config embedded.
-    """
+def _report_fields(result) -> dict:
+    """Field map of one experiment result, in report column order."""
     if isinstance(result, HypothesisResult):
-        meta = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "kind": "hypothesis",
             "n": result.spec.n,
@@ -219,15 +220,8 @@ def emit_report(result, fmt: str, path: str) -> None:
             "tolerance_used": result.tolerance_used,
             "chernoff_epsilon_at_eta_0.01": result.chernoff_accuracy_at_1pct,
         }
-        if fmt == "json":
-            write_report_json(meta, path)
-        elif fmt == "csv":
-            header = list(meta.keys())
-            write_rows_csv(header, [[meta[k] for k in header]], path)
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-    elif isinstance(result, AccuracyResult):
-        meta = {
+    if isinstance(result, AccuracyResult):
+        return {
             "schema_version": SCHEMA_VERSION,
             "kind": "accuracy",
             "n": result.n,
@@ -239,18 +233,21 @@ def emit_report(result, fmt: str, path: str) -> None:
             "mean_ratio": result.mean_ratio,
             "ratios": list(result.ratios),
         }
-        if fmt == "json":
-            write_report_json(meta, path)
-        elif fmt == "csv":
-            header = ["schema_version", "kind", "n", "model", "p", "distribution",
-                      "seed", "samples", "mean_ratio"]
-            write_rows_csv(header, [[meta[k] for k in header]], path)
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+    raise TypeError(f"cannot emit report for {type(result)!r}")
+
+
+def emit_report(result, fmt: str, path: str) -> None:
+    """Serialize an experiment result to CSV or JSON.
+
+    Output bytes are deterministic for fixed inputs: sorted keys and fixed
+    float formatting, with the schema version, seed and config embedded.
+    CSV carries the scalar fields only (one header row, one value row).
+    """
+    fields = _report_fields(result)
+    if fmt == "json":
+        write_report_json(fields, path)
+    elif fmt == "csv":
+        header = [k for k, v in fields.items() if not isinstance(v, list)]
+        write_rows_csv(header, [[fields[k] for k in header]], path)
     else:
-        raise TypeError(f"cannot emit report for {type(result)!r}")
-
-
-def run_cells(cells: list[NominalNetworkSpec], samples: int) -> list[HypothesisResult]:
-    """Hypothesis experiment over a list of parameter cells."""
-    return [hypothesis_experiment(spec, samples) for spec in cells]
+        raise ValueError(f"unknown format {fmt!r}")

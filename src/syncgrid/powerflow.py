@@ -359,12 +359,33 @@ def _dc_flow(net: OscillatorNetwork) -> DCFlowResult:
 def ac_power_flow(case: PowerCase, gamma: float = math.pi / 2) -> EquilibriumSolution | Infeasible:
     """Nonlinear power flow via Newton, seeded with the DC solution."""
     net = build_oscillator_model(case)
-    dc = _dc_flow(net)
+    return _ac_flow(net, _dc_flow(net), gamma)
+
+
+def _ac_flow(net: OscillatorNetwork, dc: DCFlowResult, gamma: float) -> EquilibriumSolution | Infeasible:
     try:
         return solve_equilibrium(net.graph, net.omega, theta0=dc.delta, gamma=gamma)
     except (NoConvergenceError, SingularJacobianError) as exc:
-        margin = sync_margin(net.graph, net.omega).margin
-        return Infeasible(margin=margin, gamma=gamma, reason=str(exc))
+        return Infeasible(margin=dc.max_angle_diff, gamma=gamma, reason=str(exc))
+
+
+def scenario_sample(
+    case: PowerCase, cfg: ScenarioConfig, sample: int = 0,
+) -> tuple[float, float | None, float | None]:
+    """Margin, predicted angle arcsin(margin) and AC cohesiveness of one scenario.
+
+    The randomized case's model is built once and L^dagger omega solved
+    once: the DC flow's largest angle difference is the margin and its
+    angles seed Newton.  The predicted angle is None when margin > 1 (no AC
+    solve is then attempted), the cohesiveness None without an AC solution.
+    """
+    net = build_oscillator_model(randomize_scenario(case, cfg, sample=sample))
+    dc = _dc_flow(net)
+    if dc.max_angle_diff > 1.0:
+        return dc.max_angle_diff, None, None
+    sol = _ac_flow(net, dc, math.pi / 2)
+    cohesiveness = None if isinstance(sol, Infeasible) else sol.cohesiveness
+    return dc.max_angle_diff, math.asin(dc.max_angle_diff), cohesiveness
 
 
 # --- randomized smart-grid scenarios ---
@@ -533,24 +554,6 @@ def apply_ramp(case: PowerCase, ramp: RampSpec, loading: float) -> PowerCase:
     return replace(case, buses=tuple(buses))
 
 
-def _margin_and_utilization(case: PowerCase) -> tuple[float, float, tuple[int, int] | None]:
-    net = build_oscillator_model(case)
-    assessment = sync_margin(net.graph, net.omega)
-    psi = assessment.psi_particular
-    limits = branch_angle_limits(case)
-    best = 0.0
-    binding = None
-    for k, (i, j, _) in enumerate(net.graph.edges):
-        limit = limits.get((i, j))
-        if limit is None or limit <= 0:
-            continue
-        predicted = math.asin(min(1.0, abs(psi[k])))
-        util = predicted / limit
-        if util > best:
-            best, binding = util, (i, j)
-    return assessment.margin, best, binding
-
-
 def contingency_scan(
     case: PowerCase,
     trips: list[str],
@@ -568,11 +571,28 @@ def contingency_scan(
         loadings = np.linspace(0.0, 1.0, 21)
     loadings = np.asarray(loadings, dtype=float)
 
+    # A ramp changes injections only, so the model and the limits are fixed.
+    net = build_oscillator_model(tripped)
+    limits = branch_angle_limits(tripped)
+    limited = [(k, (i, j), limits[(i, j)]) for k, (i, j, _) in enumerate(net.graph.edges)
+               if limits.get((i, j), 0.0) > 0]
+
+    def margin_and_utilization(s: float) -> tuple[float, float, tuple[int, int] | None]:
+        ramped = apply_ramp(tripped, ramp, s)
+        omega = rotating_frame(replace(net, omega=ramped.injections_pu())).omega
+        assessment = sync_margin(net.graph, omega)
+        best, binding = 0.0, None
+        for k, line, limit in limited:
+            util = math.asin(min(1.0, abs(assessment.psi_particular[k]))) / limit
+            if util > best:
+                best, binding = util, line
+        return assessment.margin, best, binding
+
     margins = np.empty(len(loadings))
     utils = np.empty(len(loadings))
     binding = None
     for k, s in enumerate(loadings):
-        margins[k], utils[k], line = _margin_and_utilization(apply_ramp(tripped, ramp, float(s)))
+        margins[k], utils[k], line = margin_and_utilization(float(s))
         if line is not None and utils[k] >= 1.0 and binding is None:
             binding = line
 
@@ -594,16 +614,10 @@ def contingency_scan(
                 break
         return hi
 
-    def margin_at(s: float) -> float:
-        return _margin_and_utilization(apply_ramp(tripped, ramp, s))[0]
-
-    def util_at(s: float) -> float:
-        return _margin_and_utilization(apply_ramp(tripped, ramp, s))[1]
-
-    predicted_limit = bisect_crossing(utils, 1.0, util_at)
-    margin_one = bisect_crossing(margins, 1.0, margin_at)
+    predicted_limit = bisect_crossing(utils, 1.0, lambda s: margin_and_utilization(s)[1])
+    margin_one = bisect_crossing(margins, 1.0, lambda s: margin_and_utilization(s)[0])
     if binding is None and predicted_limit is not None:
-        _, _, binding = _margin_and_utilization(apply_ramp(tripped, ramp, predicted_limit))
+        _, _, binding = margin_and_utilization(predicted_limit)
     return ContingencyScan(
         loadings=loadings,
         margins=margins,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConnectivityRetryExceededError, MarginRetryExceededError
+from .errors import ConnectivityRetryExceededError, InvalidSpecError, MarginRetryExceededError
 from .graph import WeightedGraph, is_connected
 from .rng import substream
 from .sync import sync_margin
@@ -40,9 +40,11 @@ _STAGE_FREQUENCIES = 2
 class NominalNetworkSpec:
     """Parameters of a nominal random network family.
 
-    distribution selects the frequency sampling: "width" draws uniformly
-    from [-alpha/2, alpha/2], "uniform" from [-1, 1], "bipolar" from
-    {-1, +1}.  weighted toggles uniform [0.5, 5] coupling weights versus
+    p is the edge (erg) or rewiring (smn) probability in [0, 1], or the
+    connection radius (rgg) in [0, 1.5]; sqrt(2) already covers the unit
+    square.  distribution selects the frequency sampling: "width" draws
+    uniformly from [-alpha/2, alpha/2], "uniform" from [-1, 1], "bipolar"
+    from {-1, +1}.  weighted toggles uniform [0.5, 5] coupling weights versus
     unit weights.  The seed fully determines every sample.
     """
 
@@ -56,15 +58,17 @@ class NominalNetworkSpec:
 
     def __post_init__(self):
         if self.model not in ("erg", "rgg", "smn"):
-            raise ValueError(f"unknown model {self.model!r}")
-        if not 0.0 <= self.p <= 1.5:  # rgg radius may exceed 1 (sqrt(2) covers the square)
-            raise ValueError(f"coupling parameter p = {self.p} out of range")
+            raise InvalidSpecError(f"unknown model {self.model!r}")
+        p_max = 1.5 if self.model == "rgg" else 1.0
+        if not 0.0 <= self.p <= p_max:
+            raise InvalidSpecError(
+                f"{self.model} coupling parameter p = {self.p} outside [0, {p_max}]")
         if self.distribution not in ("width", "uniform", "bipolar"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
+            raise InvalidSpecError(f"unknown distribution {self.distribution!r}")
         if self.distribution == "width" and (self.alpha is None or self.alpha <= 0):
-            raise ValueError("width distribution requires alpha > 0")
+            raise InvalidSpecError("width distribution requires alpha > 0")
         if self.n < 2:
-            raise ValueError("need n >= 2")
+            raise InvalidSpecError("need n >= 2")
 
 
 def _erg_edges(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, int, float]]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from syncgrid.graph import WeightedGraph
@@ -54,3 +56,21 @@ def random_zero_mean(seed: int, n: int, scale: float = 1.0) -> np.ndarray:
     rng = substream(seed, 636363)
     omega = rng.uniform(-scale, scale, n)
     return omega - omega.mean()
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Record every call of module.name, through each syncgrid module bound to it.
+
+    Returns the list that grows by one entry per call.
+    """
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "syncgrid" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls

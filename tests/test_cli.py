@@ -3,11 +3,16 @@
 import csv
 import json
 import math
+from importlib import resources
 
 import pytest
 
+from conftest import count_calls
+from syncgrid import graph, powerflow
 from syncgrid.cli import main
 from syncgrid.graph import WeightedGraph, save_graph
+
+RTS96 = str(resources.files("syncgrid").joinpath("data/rts96.json"))
 
 
 @pytest.fixture
@@ -133,6 +138,17 @@ def test_scenario(case_file, tmp_path):
     assert all("margin" in r for r in rows)
 
 
+def test_scenario_builds_and_solves_once_per_sample(tmp_path, monkeypatch):
+    # the DC solve gives the margin and seeds Newton: no second model, no second solve
+    builds = count_calls(monkeypatch, powerflow, "build_oscillator_model")
+    solves = count_calls(monkeypatch, graph, "solve_poisson")
+    out = tmp_path / "stats.csv"
+    assert main(["scenario", "--case", RTS96, "--samples", "6", "--seed", "2",
+                 "--out", str(out)]) == 0
+    assert len(builds) == 6
+    assert len(solves) == 6
+
+
 def test_contingency(tmp_path):
     # 4-bus ring across two areas with a rated tie
     payload = {
@@ -194,3 +210,10 @@ def test_cli_error_reporting(tmp_path, capsys):
     code = main(["analyze", "--graph", str(bad_graph), "--omega", str(w)])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_gen_rejects_out_of_range_p(capsys):
+    # an erg edge probability above one is an input error, not a traceback
+    code = main(["gen", "--model", "erg", "--n", "8", "--p", "2", "--alpha", "5"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")

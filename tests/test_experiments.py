@@ -1,5 +1,9 @@
 """Chernoff bookkeeping, hypothesis experiment, accuracy study, reports."""
 
+import json
+import math
+import warnings
+
 import pytest
 
 from syncgrid.errors import InvalidLevelError
@@ -10,7 +14,6 @@ from syncgrid.experiments import (
     chernoff_samples,
     emit_report,
     hypothesis_experiment,
-    run_cells,
 )
 from syncgrid.randnet import NominalNetworkSpec
 
@@ -56,15 +59,6 @@ def test_hypothesis_experiment_mostly_succeeds():
     result = hypothesis_experiment(spec, 60)
     assert result.empirical_probability >= 0.95
     assert result.tolerance_used == 1e-4
-
-
-def test_run_cells():
-    cells = [
-        NominalNetworkSpec(n=8, model="erg", p=0.5, alpha=5.0, seed=1),
-        NominalNetworkSpec(n=8, model="smn", p=0.2, alpha=5.0, seed=1),
-    ]
-    results = run_cells(cells, 10)
-    assert [r.spec.model for r in results] == ["erg", "smn"]
 
 
 def test_accuracy_two_node_ratio_one():
@@ -117,3 +111,21 @@ def test_emit_report_accuracy(tmp_path):
         emit_report(result, "yaml", str(path))
     with pytest.raises(TypeError):
         emit_report(object(), "json", str(path))
+
+
+def test_emit_report_empty_accuracy_is_valid_json(tmp_path):
+    # every sample can miss the bracket; the report must still parse
+    result = AccuracyResult(n=4, model="erg", p=0.9, distribution="bipolar",
+                            samples=2, ratios=())
+    path = tmp_path / "empty.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(result.mean_ratio)
+        emit_report(result, "json", str(path))
+    report = json.loads(path.read_text())
+    assert report["mean_ratio"] is None
+    assert report["ratios"] == []
+    csv_path = tmp_path / "empty.csv"
+    emit_report(result, "csv", str(csv_path))
+    header, row = csv_path.read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["mean_ratio"] == "nan"

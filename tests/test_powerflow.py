@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import count_calls
+from syncgrid import powerflow
 from syncgrid.equilibrium import EquilibriumSolution
 from syncgrid.errors import (
     InconsistentCaseError,
@@ -301,6 +303,18 @@ def test_contingency_scan_monotone_margin():
                             loadings=np.linspace(0.0, 0.4, 5))
     assert np.all(np.diff(scan.margins) > 0)
     assert np.all(np.diff(scan.line_utilization) > 0)
+
+
+def test_contingency_scan_builds_model_and_limits_once(monkeypatch):
+    # a ramp changes injections only: every loading and bisection step
+    # reuses the tripped model and its angle limits
+    builds = count_calls(monkeypatch, powerflow, "build_oscillator_model")
+    limits = count_calls(monkeypatch, powerflow, "branch_angle_limits")
+    scan = contingency_scan(bundled_case("rts96"), ["gen:323"], RampSpec(3, (1, 2)),
+                            loadings=np.linspace(0.0, 2.0, 21))
+    assert scan.predicted_limit_loading is not None and scan.margin_one_loading is not None
+    assert len(builds) == 1
+    assert len(limits) == 1
 
 
 def test_contingency_thermal_binding_is_area3_tie():

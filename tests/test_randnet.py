@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from syncgrid.errors import ConnectivityRetryExceededError
+from syncgrid.errors import ConnectivityRetryExceededError, InvalidSpecError, SyncgridError
 from syncgrid.graph import WeightedGraph, is_connected
 from syncgrid.randnet import (
     NominalNetworkSpec,
@@ -158,3 +158,9 @@ def test_spec_validation():
         NominalNetworkSpec(n=10, model="erg", p=0.5, distribution="width", alpha=None)
     with pytest.raises(ValueError):
         NominalNetworkSpec(n=1, model="erg", p=0.5, alpha=1.0)
+    # p is a probability for erg/smn; only the rgg radius may exceed 1
+    for model, p in (("erg", 1.4), ("smn", 1.01), ("rgg", 1.6)):
+        with pytest.raises(InvalidSpecError):
+            NominalNetworkSpec(n=10, model=model, p=p, alpha=1.0)
+    assert issubclass(InvalidSpecError, ValueError)
+    assert issubclass(InvalidSpecError, SyncgridError)

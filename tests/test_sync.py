@@ -73,6 +73,31 @@ def test_spectral_equals_direct(seed):
     assert abs(spectral_margin(bundle, g, omega) - sync_margin(g, omega).margin) <= 1e-10
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.1, 10.0))
+def test_margin_scales_inversely_with_gain(seed, gain):
+    # margin(K a) = margin(a) / K
+    g = random_connected_graph(seed, n_max=30)
+    omega = random_zero_mean(seed + 9, g.n, scale=2.0)
+    margin = sync_margin(g, omega).margin
+    assert sync_margin(g.scaled(gain), omega).margin * gain == pytest.approx(margin, rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000))
+def test_margin_invariant_under_relabelling(seed):
+    # from_edges re-orients every edge whose relabelled ends swap order
+    g = random_connected_graph(seed, n_max=30)
+    omega = random_zero_mean(seed + 9, g.n, scale=2.0)
+    label = substream(seed, 5).permutation(g.n) + 1
+    relabelled = WeightedGraph.from_edges(g.n, [(label[i - 1], label[j - 1], w)
+                                                for i, j, w in g.edges])
+    moved = np.empty(g.n)
+    moved[label - 1] = omega
+    assert sync_margin(relabelled, moved).margin == pytest.approx(
+        sync_margin(g, omega).margin, rel=1e-12)
+
+
 def test_spectral_k3_example():
     bundle = build_laplacian(K3)
     assert spectral_margin(bundle, K3, [1.0, -1.0, 0.0]) == pytest.approx(2 / 3, abs=1e-12)
