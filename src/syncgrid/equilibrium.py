@@ -5,9 +5,12 @@ Solves the flow-balance fixed-point equations
     omega_i = sum_j a_ij sin(theta_i - theta_j)
 
 with damped Newton iteration on the reduced system obtained by grounding
-node 1 (removing the rotational null direction).  Inside the cohesive
-region every converged solution is locally exponentially stable and unique
-up to rotation, which the stability assessment verifies spectrally.
+node 1 (removing the rotational null direction).  Each iteration factors
+the grounded -J once with LAPACK: the LU gives both the step and a 1-norm
+condition estimate, and CONDITION_LIMIT bounds that estimate.  Inside the
+cohesive region every converged solution is locally exponentially stable
+and unique up to rotation, which the stability assessment verifies
+spectrally.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatchError,
@@ -28,6 +32,8 @@ from .graph import WeightedGraph, divergence, edge_differences, require_connecte
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 MAX_STEP_HALVINGS = 20
+# Largest LAPACK 1-norm condition estimate (dgecon, from the Newton step's own
+# LU) of the grounded -J that a step is taken with.
 CONDITION_LIMIT = 1e12
 
 
@@ -103,7 +109,9 @@ def assess_stability(g: WeightedGraph, theta, omega=None, residual_tol: float = 
         res = float(np.max(np.abs(fixed_point_residual(g, omega, theta))))
         if res > residual_tol:
             raise NotAnEquilibriumError(f"residual {res:.3e} exceeds {residual_tol:.1e}")
-    evals = np.linalg.eigvalsh(-jacobian(g, theta))
+    minus_jac = jacobian(g, theta)
+    np.negative(minus_jac, out=minus_jac)  # in place: no second n x n array
+    evals = np.linalg.eigvalsh(minus_jac)
     scale = max(1.0, float(np.max(np.abs(evals))))
     lam2 = float(evals[1])
     return StabilityReport(stable=lam2 > 1e-9 * scale, lambda2_of_minus_jacobian=lam2)
@@ -123,6 +131,23 @@ def _finalize(g: WeightedGraph, omega, theta, iterations: int) -> EquilibriumSol
         residual=res,
         iterations=iterations,
     )
+
+
+def _factor_grounded(minus_jac_red: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """LU factors of the grounded -J and LAPACK's 1-norm condition estimate.
+
+    -J is exactly symmetric, so the transpose of a C-contiguous argument is
+    the same matrix as an F-contiguous view, which LAPACK factors in place
+    without a copy: the argument is overwritten.  The estimate is inf for an
+    exactly zero pivot and for a non-positive or nan reciprocal estimate.
+    """
+    a = minus_jac_red.T
+    anorm = lapack.dlange("1", a)
+    lu, piv, info = lapack.dgetrf(a, overwrite_a=1)
+    if info > 0:
+        return lu, piv, math.inf
+    rcond, _ = lapack.dgecon(lu, anorm, norm="1")
+    return lu, piv, 1.0 / rcond if rcond > 0.0 else math.inf
 
 
 def solve_equilibrium(
@@ -160,14 +185,10 @@ def solve_equilibrium(
     for iteration in range(1, max_iter + 1):
         if res_norm <= tol:
             return _finalize(g, omega, theta, iteration - 1)
-        jac_red = -jacobian(g, theta)[1:, 1:]
-        cond = np.linalg.cond(jac_red)
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise SingularJacobianError(f"reduced Jacobian condition number {cond:.3e}")
-        try:
-            step = np.linalg.solve(jac_red, -residual[1:])
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(str(exc)) from exc
+        lu, piv, cond = _factor_grounded(-jacobian(g, theta)[1:, 1:])
+        if cond > CONDITION_LIMIT:
+            raise SingularJacobianError(f"reduced Jacobian 1-norm condition estimate {cond:.3e}")
+        step, _ = lapack.dgetrs(lu, piv, -residual[1:], overwrite_b=1)
 
         # Damping: halve the step until the residual norm decreases.
         scale = 1.0

@@ -263,7 +263,8 @@ def solve_poisson(g: WeightedGraph, x) -> np.ndarray:
     if x.shape != (g.n,):
         raise DimensionMismatchError(f"expected length-{g.n} vector, got {x.shape}")
     xc = x - x.mean()
-    aug = g.laplacian() + np.full((g.n, g.n), 1.0 / g.n)
+    aug = g.laplacian()
+    aug += 1.0 / g.n
     y = np.linalg.solve(aug, xc)
     return y - y.mean()
 

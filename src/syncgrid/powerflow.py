@@ -536,9 +536,11 @@ def apply_ramp(case: PowerCase, ramp: RampSpec, loading: float) -> PowerCase:
     share of the added demand.
     """
     area_loads = [b.id for b in case.buses if b.area == ramp.load_area and b.pd_mw > 0]
-    extra = loading * sum(b.pd_mw for b in case.buses if b.id in set(area_loads))
+    load_ids = set(area_loads)
+    extra = loading * sum(b.pd_mw for b in case.buses if b.id in load_ids)
     comp_gens = [b.id for b in case.buses
                  if b.area in ramp.gen_areas and b.pg_mw > 0 and b.kind == "gen"]
+    gen_ids = set(comp_gens)
     if not comp_gens and extra != 0.0:
         raise NoAdjustableSourcesError("no compensating generators in the ramp areas")
     share = extra / len(comp_gens) if comp_gens else 0.0
@@ -546,9 +548,9 @@ def apply_ramp(case: PowerCase, ramp: RampSpec, loading: float) -> PowerCase:
     buses = []
     for b in case.buses:
         pg, pd = b.pg_mw, b.pd_mw
-        if b.id in set(area_loads):
+        if b.id in load_ids:
             pd = pd + increment if ramp.mode == "uniform" else pd * (1.0 + loading)
-        if b.id in comp_gens:
+        if b.id in gen_ids:
             pg = pg + share
         buses.append(replace(b, pg_mw=pg, pd_mw=pd))
     return replace(case, buses=tuple(buses))

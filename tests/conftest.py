@@ -59,7 +59,8 @@ def random_zero_mean(seed: int, n: int, scale: float = 1.0) -> np.ndarray:
 
 
 def count_calls(monkeypatch, module, name: str) -> list:
-    """Record every call of module.name, through each syncgrid module bound to it.
+    """Record every call of module.name, through module itself and each syncgrid
+    module bound to it (so numpy.linalg functions are counted too).
 
     Returns the list that grows by one entry per call.
     """
@@ -70,6 +71,7 @@ def count_calls(monkeypatch, module, name: str) -> list:
         calls.append(None)
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(module, name, counted)
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "syncgrid" and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)

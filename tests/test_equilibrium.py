@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph, random_zero_mean
+from conftest import count_calls, random_connected_graph, random_zero_mean
 from syncgrid.equilibrium import (
+    _factor_grounded,
     assess_stability,
     fixed_point_residual,
     jacobian,
@@ -16,7 +17,7 @@ from syncgrid.equilibrium import (
     solve_equilibrium,
     wrap_angles,
 )
-from syncgrid.errors import NoConvergenceError, NotAnEquilibriumError
+from syncgrid.errors import NoConvergenceError, NotAnEquilibriumError, SingularJacobianError
 from syncgrid.graph import WeightedGraph
 from syncgrid.rng import substream
 from syncgrid.sync import sync_margin
@@ -166,6 +167,39 @@ def test_no_convergence_carries_iterate():
         solve_equilibrium(g, [1.2, -1.2])  # infeasible loading
     assert info.value.theta is not None
     assert info.value.residual > 0
+
+
+def test_near_singular_jacobian_raises():
+    # at theta0 the grounded -J has 1- and 2-norm condition numbers near 3e16;
+    # a plain solve would still return a step
+    g = WeightedGraph.from_edges(3, [(1, 2, 1.0), (2, 3, 1.0)])
+    theta0 = [0.0, math.pi / 2, math.pi / 2 + 0.3]
+    with pytest.raises(SingularJacobianError, match="condition"):
+        solve_equilibrium(g, [0.5, 0.0, -0.5], theta0=theta0)
+
+
+def test_newton_runs_no_svd(monkeypatch):
+    # the step's own LU gives the singularity test; no SVD per iteration
+    cond = count_calls(monkeypatch, np.linalg, "cond")
+    svd = count_calls(monkeypatch, np.linalg, "svd")
+    g = random_connected_graph(91, n_min=8, n_max=12)
+    omega = random_zero_mean(92, g.n)
+    sol = solve_equilibrium(g, omega * (0.5 / sync_margin(g, omega).margin))
+    assert sol.iterations >= 2
+    assert cond == [] and svd == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_condition_estimate_within_n_of_exact(seed):
+    # CONDITION_LIMIT bounds LAPACK's estimate of cond_1; for a k x k matrix
+    # cond_1 / cond_2 lies in [1/k, k], and here k = n - 1
+    g = random_connected_graph(seed, n_max=40)
+    theta = substream(seed, 7).uniform(-math.pi, math.pi, g.n)
+    minus_jac = -jacobian(g, theta)[1:, 1:]
+    exact = np.linalg.cond(minus_jac)
+    _, _, estimate = _factor_grounded(minus_jac.copy())
+    assert exact / g.n <= estimate <= g.n * exact
 
 
 def test_phase_cohesiveness_wrap():
