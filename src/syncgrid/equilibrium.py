@@ -6,11 +6,13 @@ Solves the flow-balance fixed-point equations
 
 with damped Newton iteration on the reduced system obtained by grounding
 node 1 (removing the rotational null direction).  Each iteration factors
-the grounded -J once with LAPACK: the LU gives both the step and a 1-norm
-condition estimate, and CONDITION_LIMIT bounds that estimate.  Inside the
-cohesive region every converged solution is locally exponentially stable
-and unique up to rotation, which the stability assessment verifies
-spectrally.
+the grounded -J once, with LAPACK below graph.SPARSE_MIN_NODES nodes and
+with SuperLU from it on: the LU gives both the step and a 1-norm condition
+estimate, and CONDITION_LIMIT bounds that estimate.  Inside the cohesive
+region every converged solution is locally exponentially stable and unique
+up to rotation.  A solver decides `stable` from one more factorization:
+the grounded -J is positive definite iff lambda2(-J) > 0.
+assess_stability computes that eigenvalue itself.
 """
 
 from __future__ import annotations
@@ -20,21 +22,35 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack
+from scipy.sparse.linalg import LinearOperator, onenormest
 
 from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
+    NonFiniteInputError,
     NotAnEquilibriumError,
     SingularJacobianError,
 )
-from .graph import WeightedGraph, divergence, edge_differences, require_connected, solve_poisson
+from .graph import (
+    SPARSE_MIN_NODES,
+    WeightedGraph,
+    divergence,
+    edge_differences,
+    require_connected,
+    solve_poisson,
+    symmetric_splu,
+)
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 MAX_STEP_HALVINGS = 20
-# Largest LAPACK 1-norm condition estimate (dgecon, from the Newton step's own
-# LU) of the grounded -J that a step is taken with.
+# Largest 1-norm condition estimate of the grounded -J that a step is taken
+# with; the estimate comes from the Newton step's own LU (LAPACK dgecon dense,
+# onenormest through SuperLU sparse).
 CONDITION_LIMIT = 1e12
+# SuperLU diagonal pivot threshold of a sparse Newton step: at a cohesive
+# iterate the grounded -J is diagonally dominant and every diagonal qualifies.
+NEWTON_PIVOT_THRESH = 0.1
 
 
 def wrap_angles(theta) -> np.ndarray:
@@ -117,37 +133,80 @@ def assess_stability(g: WeightedGraph, theta, omega=None, residual_tol: float = 
     return StabilityReport(stable=lam2 > 1e-9 * scale, lambda2_of_minus_jacobian=lam2)
 
 
+def _grounded_minus_jacobian(g: WeightedGraph, theta):
+    """Rows and columns 2..n of -J(theta): dense below SPARSE_MIN_NODES, CSC from it."""
+    if g.n < SPARSE_MIN_NODES:
+        return -jacobian(g, theta)[1:, 1:]
+    return g._grounded(g.weights * np.cos(edge_differences(g, theta)))
+
+
+def _stable_by_factor(g: WeightedGraph, theta) -> bool:
+    """Exponential stability of the equilibrium at theta, from one factorization.
+
+    -J is symmetric with -J 1 = 0, so its grounded block is positive
+    definite iff -J is positive semidefinite with kernel span(1), that is
+    iff lambda2(-J) > 0.  Dense: the Cholesky factorization (dpotrf)
+    succeeds.  Sparse: the LU with diagonal pivoting keeps perm_r == perm_c
+    and has a positive diagonal of U.  Each pivot of a positive definite
+    matrix is a positive Schur-complement diagonal, so an off-diagonal pivot
+    or an exactly singular factor means not positive definite.
+    """
+    a = _grounded_minus_jacobian(g, theta)
+    if isinstance(a, np.ndarray):
+        _, info = lapack.dpotrf(a.T, overwrite_a=1)  # symmetric: the F view, factored in place
+        return info == 0
+    try:
+        lu = symmetric_splu(a)
+    except RuntimeError:  # "Factor is exactly singular"
+        return False
+    return bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0))
+
+
 def _finalize(g: WeightedGraph, omega, theta, iterations: int) -> EquilibriumSolution:
     theta = np.asarray(theta, dtype=float) - float(theta[0])
     theta = wrap_angles(theta)
     theta = theta - theta[0]
     res = float(np.max(np.abs(fixed_point_residual(g, omega, theta))))
     coh = phase_cohesiveness(theta, g)
-    stab = assess_stability(g, theta)
     return EquilibriumSolution(
         theta=theta,
         cohesiveness=coh,
-        stable=stab.stable,
+        stable=_stable_by_factor(g, theta),
         residual=res,
         iterations=iterations,
     )
 
 
-def _factor_grounded(minus_jac_red: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """LU factors of the grounded -J and LAPACK's 1-norm condition estimate.
+def _factor_grounded(minus_jac_red):
+    """Factor the grounded -J: a solve with its LU and a 1-norm condition estimate.
 
-    -J is exactly symmetric, so the transpose of a C-contiguous argument is
-    the same matrix as an F-contiguous view, which LAPACK factors in place
-    without a copy: the argument is overwritten.  The estimate is inf for an
-    exactly zero pivot and for a non-positive or nan reciprocal estimate.
+    Dense (ndarray): LAPACK's LU and estimate.  -J is exactly symmetric, so
+    the transpose of a C-contiguous argument is the same matrix as an
+    F-contiguous view, which LAPACK factors in place without a copy: the
+    argument is overwritten.  Sparse (CSC): SuperLU, and ||A||_1 times
+    onenormest of A^-1 applied through the LU.  onenormest runs with t=1,
+    the deterministic Hager-Higham iteration that dgecon also uses.  The
+    estimate is inf, and the solve None, for an exactly singular factor; a
+    non-finite or non-positive estimate is inf as well.
     """
-    a = minus_jac_red.T
-    anorm = lapack.dlange("1", a)
-    lu, piv, info = lapack.dgetrf(a, overwrite_a=1)
-    if info > 0:
-        return lu, piv, math.inf
-    rcond, _ = lapack.dgecon(lu, anorm, norm="1")
-    return lu, piv, 1.0 / rcond if rcond > 0.0 else math.inf
+    if isinstance(minus_jac_red, np.ndarray):
+        a = minus_jac_red.T
+        anorm = lapack.dlange("1", a)
+        lu, piv, info = lapack.dgetrf(a, overwrite_a=1)
+        if info > 0:
+            return None, math.inf
+        rcond, _ = lapack.dgecon(lu, anorm, norm="1")
+        cond = 1.0 / rcond if rcond > 0.0 else math.inf
+        return (lambda b: lapack.dgetrs(lu, piv, b, overwrite_b=1)[0]), cond
+    try:
+        lu = symmetric_splu(minus_jac_red, NEWTON_PIVOT_THRESH)
+    except RuntimeError:  # "Factor is exactly singular"
+        return None, math.inf
+    inverse = LinearOperator(lu.shape, matvec=lu.solve, rmatvec=lambda b: lu.solve(b, trans="T"),
+                             dtype=float)
+    anorm = float(np.max(abs(minus_jac_red).sum(axis=0)))
+    cond = anorm * onenormest(inverse, t=1)
+    return lu.solve, cond if cond > 0.0 and math.isfinite(cond) else math.inf
 
 
 def solve_equilibrium(
@@ -165,11 +224,15 @@ def solve_equilibrium(
     cohesive region.  The default seed is the solution of the linear system
     L theta = omega, i.e. the small-angle approximation.  gamma is carried
     for reporting only; cohesiveness of the result is always computed.
+    A nan or inf in omega or theta0 raises NonFiniteInputError before any
+    factorization.
     """
     require_connected(g)
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (g.n,):
         raise DimensionMismatchError(f"expected length-{g.n} omega, got {omega.shape}")
+    if not np.all(np.isfinite(omega)):
+        raise NonFiniteInputError("omega has a non-finite entry")
     omega = omega - omega.mean()
     if theta0 is None:
         theta = solve_poisson(g, omega)
@@ -177,6 +240,8 @@ def solve_equilibrium(
         theta = np.array(theta0, dtype=float)
         if theta.shape != (g.n,):
             raise DimensionMismatchError(f"expected length-{g.n} theta0, got {theta.shape}")
+        if not np.all(np.isfinite(theta)):
+            raise NonFiniteInputError("theta0 has a non-finite entry")
         theta = theta.copy()
     theta = theta - theta[0]
 
@@ -185,10 +250,10 @@ def solve_equilibrium(
     for iteration in range(1, max_iter + 1):
         if res_norm <= tol:
             return _finalize(g, omega, theta, iteration - 1)
-        lu, piv, cond = _factor_grounded(-jacobian(g, theta)[1:, 1:])
+        solve, cond = _factor_grounded(_grounded_minus_jacobian(g, theta))
         if cond > CONDITION_LIMIT:
             raise SingularJacobianError(f"reduced Jacobian 1-norm condition estimate {cond:.3e}")
-        step, _ = lapack.dgetrs(lu, piv, -residual[1:], overwrite_b=1)
+        step = solve(-residual[1:])
 
         # Damping: halve the step until the residual norm decreases.
         scale = 1.0

@@ -58,7 +58,8 @@ class NoConvergenceError(SyncgridError):
 
 
 class SingularJacobianError(SyncgridError):
-    """Reduced Jacobian numerically singular (cond > 1e12)."""
+    """Reduced Jacobian numerically singular: its 1-norm condition estimate
+    exceeds equilibrium.CONDITION_LIMIT, or its LU has an exactly zero pivot."""
 
 
 class NotAnEquilibriumError(SyncgridError):
@@ -77,6 +78,10 @@ class NoSyncInBracketError(SyncgridError):
 
 class InvalidSpecError(SyncgridError, ValueError):
     """Random network parameters outside their documented ranges."""
+
+
+class NonFiniteInputError(SyncgridError, ValueError):
+    """A solver input (frequencies, initial angles) holds nan or inf."""
 
 
 class ConnectivityRetryExceededError(SyncgridError):

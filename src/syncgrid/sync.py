@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .equilibrium import EquilibriumSolution, assess_stability, fixed_point_residual, phase_cohesiveness
+from .equilibrium import EquilibriumSolution, _stable_by_factor, fixed_point_residual, phase_cohesiveness
 from .errors import (
     GammaOutOfRangeError,
     NonZeroMeanFrequenciesError,
@@ -179,11 +179,10 @@ def _assemble_from_edge_angles(g: WeightedGraph, edge_angles: np.ndarray) -> np.
 def _equilibrium_from_psi(g: WeightedGraph, omega, psi: np.ndarray) -> EquilibriumSolution:
     theta = _assemble_from_edge_angles(g, np.arcsin(np.clip(psi, -1.0, 1.0)))
     residual = float(np.max(np.abs(fixed_point_residual(g, omega, theta))))
-    stab = assess_stability(g, theta)
     return EquilibriumSolution(
         theta=theta,
         cohesiveness=phase_cohesiveness(theta, g),
-        stable=stab.stable,
+        stable=_stable_by_factor(g, theta),
         residual=residual,
     )
 

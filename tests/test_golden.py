@@ -14,6 +14,7 @@ from importlib import resources
 import pytest
 
 from syncgrid.cli import main
+from syncgrid.graph import SPARSE_MIN_NODES
 
 RTS96 = str(resources.files("syncgrid").joinpath("data/rts96.json"))
 
@@ -81,3 +82,7 @@ def test_cli_output_digest(name, tmp_path, capsys):
     if "stdout" in expected:
         actual["stdout"] = _sha256(capsys.readouterr().out.encode("utf-8"))
     assert actual == expected
+
+
+def test_golden_inputs_stay_on_the_dense_path():
+    assert SPARSE_MIN_NODES > 73  # the rts96 case, the largest golden input
