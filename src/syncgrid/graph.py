@@ -156,7 +156,8 @@ class WeightedGraph:
 
     def _node_sum(self, c: np.ndarray) -> np.ndarray:
         """|B| c: per node, the sum of c over the incident edges."""
-        return np.bincount(self._endpoints, np.concatenate([c, c]), self.n)
+        sums = np.bincount(self._endpoints, np.concatenate([c, c]), self.n)
+        return sums.astype(float, copy=False)  # with no edges bincount returns int64
 
     @cached_property
     def _divergence_index(self) -> np.ndarray:
@@ -243,7 +244,8 @@ def divergence(g: WeightedGraph, psi) -> np.ndarray:
     if psi.shape != (g.m,):
         raise DimensionMismatchError(f"expected length-{g.m} edge vector, got {psi.shape}")
     flow = g.weights * psi
-    return np.bincount(g._divergence_index, np.concatenate([flow, -flow]), g.n)
+    net = np.bincount(g._divergence_index, np.concatenate([flow, -flow]), g.n)
+    return net.astype(float, copy=False)  # with no edges bincount returns int64
 
 
 def is_connected(g: WeightedGraph) -> bool:

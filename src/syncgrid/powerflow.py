@@ -443,20 +443,20 @@ def randomize_scenario(case: PowerCase, cfg: ScenarioConfig, sample: int = 0) ->
     if n_adjust == 0:
         raise NoAdjustableSourcesError("scenario selects zero adjustable sources")
 
-    new_buses = []
+    pgs, pds = [], []
     for b in case.buses:
         pg, pd = b.pg_mw, b.pd_mw
         if b.id in fluct_loads:
             pd = pd + rng.normal(0.0, cfg.sigma) * case.base_mva
         if b.id in fluct_gens:
             pg = pg + rng.normal(0.0, cfg.sigma) * case.base_mva
-        new_buses.append(replace(b, pg_mw=pg, pd_mw=pd))
+        pgs.append(pg)
+        pds.append(pd)
 
-    imbalance_mw = sum(b.pg_mw - b.pd_mw for b in new_buses)
+    imbalance_mw = sum(pg - pd for pg, pd in zip(pgs, pds))
     share = -imbalance_mw / n_adjust
     balanced = []
-    for b in new_buses:
-        pg, pd = b.pg_mw, b.pd_mw
+    for b, pg, pd in zip(case.buses, pgs, pds):
         if b.id in ramp_gens:
             pg += share
         if b.id in ctrl_loads:
@@ -567,6 +567,13 @@ def contingency_scan(
     Reports the margin and the worst thermal-line utilization (predicted
     angle over limit angle) per loading, plus bisected crossing loadings
     for the first thermal-limit hit and for margin = 1.
+
+    A scan costs two flow solves.  In both ramp modes the injections are
+    affine in the loading s, and the rotating-frame shift and
+    psi = B^T L^dagger omega are linear in omega.  So on the tripped network
+    every edge flow is, in exact arithmetic, psi(s) = psi0 + s psi1 with
+    psi0 = psi(0) and psi1 = psi(1) - psi(0), and each grid loading and
+    bisection step is vector work on psi0 and psi1.
     """
     tripped = apply_trips(case, trips)
     if loadings is None:
@@ -576,19 +583,28 @@ def contingency_scan(
     # A ramp changes injections only, so the model and the limits are fixed.
     net = build_oscillator_model(tripped)
     limits = branch_angle_limits(tripped)
-    limited = [(k, (i, j), limits[(i, j)]) for k, (i, j, _) in enumerate(net.graph.edges)
+    limited = [(k, (i, j)) for k, (i, j, _) in enumerate(net.graph.edges)
                if limits.get((i, j), 0.0) > 0]
+    limited_edges = np.array([k for k, _ in limited], dtype=np.intp)
+    limit_angles = np.array([limits[line] for _, line in limited])
 
-    def margin_and_utilization(s: float) -> tuple[float, float, tuple[int, int] | None]:
+    def flows(s: float) -> np.ndarray:
         ramped = apply_ramp(tripped, ramp, s)
         omega = rotating_frame(replace(net, omega=ramped.injections_pu())).omega
-        assessment = sync_margin(net.graph, omega)
-        best, binding = 0.0, None
-        for k, line, limit in limited:
-            util = math.asin(min(1.0, abs(assessment.psi_particular[k]))) / limit
-            if util > best:
-                best, binding = util, line
-        return assessment.margin, best, binding
+        return sync_margin(net.graph, omega).psi_particular
+
+    psi0 = flows(0.0)
+    psi1 = flows(1.0) - psi0
+
+    def margin_and_utilization(s: float) -> tuple[float, float, tuple[int, int] | None]:
+        psi = psi0 + s * psi1
+        margin = float(np.max(np.abs(psi))) if len(psi) else 0.0
+        if not limited:
+            return margin, 0.0, None
+        utils = np.arcsin(np.minimum(1.0, np.abs(psi[limited_edges]))) / limit_angles
+        worst = int(np.argmax(utils))
+        best = float(utils[worst])
+        return margin, best, limited[worst][1] if best > 0 else None
 
     margins = np.empty(len(loadings))
     utils = np.empty(len(loadings))

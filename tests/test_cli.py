@@ -178,6 +178,17 @@ def test_contingency(tmp_path):
     assert margins[-1] > margins[0]
 
 
+def test_contingency_dynamic_cross_check(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    capsys.readouterr()
+    assert main(["contingency", "--case", RTS96, "--trip", "gen:323", "--ramp", "southeast",
+                 "--points", "5", "--dynamic", "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    check = summary["dynamic_cross_check"]
+    assert check["loading"] == pytest.approx(summary["predicted_limit_loading"] - 0.02)
+    assert check["synchronized"] is True
+
+
 def test_montecarlo(tmp_path):
     cells = [{"n": 8, "model": "erg", "p": 0.5, "alpha": 5.0}]
     cells_path = tmp_path / "cells.json"

@@ -317,6 +317,51 @@ def test_contingency_scan_builds_model_and_limits_once(monkeypatch):
     assert len(limits) == 1
 
 
+def test_contingency_scan_makes_two_flow_solves(monkeypatch):
+    # the flows are affine in the loading: psi(0) and psi(1) serve every
+    # grid loading and bisection step, however many points the scan has
+    solves = count_calls(monkeypatch, powerflow, "sync_margin")
+    for points in (5, 41):
+        solves.clear()
+        scan = contingency_scan(bundled_case("rts96"), ["gen:323"], RampSpec(3, (1, 2)),
+                                loadings=np.linspace(0.0, 2.0, points))
+        assert scan.predicted_limit_loading is not None and scan.margin_one_loading is not None
+        assert len(solves) == 2
+
+
+def _explicit_margin_and_utilization(tripped, ramp, s):
+    """Margin and worst line utilization of the explicitly ramped, rebuilt case."""
+    net = build_oscillator_model(apply_ramp(tripped, ramp, s))
+    psi = sync_margin(net.graph, net.omega).psi_particular
+    limits = branch_angle_limits(tripped)
+    utils = [math.asin(min(1.0, abs(p))) / limits[(i, j)]
+             for (i, j, _), p in zip(net.graph.edges, psi) if limits.get((i, j), 0.0) > 0]
+    return float(np.max(np.abs(psi))), max(utils)
+
+
+@pytest.mark.parametrize("trips, ramp", [
+    (["gen:323"], RampSpec(3, (1, 2))),
+    (["gen:323"], RampSpec(3, (1, 2), mode="proportional")),
+    (["branch:103-109"], RampSpec(3, (1, 2))),
+    ([], RampSpec(3, (1, 2))),
+])
+def test_affine_contingency_scan_matches_explicit_ramps(trips, ramp):
+    case = bundled_case("rts96")
+    tripped = apply_trips(case, trips)
+    scan = contingency_scan(case, trips, ramp, loadings=np.linspace(0.0, 2.0, 11))
+    for s, margin, util in zip(scan.loadings, scan.margins, scan.line_utilization):
+        ref_margin, ref_util = _explicit_margin_and_utilization(tripped, ramp, float(s))
+        assert margin == pytest.approx(ref_margin, rel=1e-12)
+        assert util == pytest.approx(ref_util, rel=1e-12)
+    # each crossing closes a bisection bracket of width 1e-6 around the
+    # crossing of the explicitly ramped case
+    for crossing, which in ((scan.predicted_limit_loading, 1), (scan.margin_one_loading, 0)):
+        assert crossing is not None and crossing > scan.loadings[0]
+        below = crossing - 1e-6 * max(1.0, crossing)
+        assert _explicit_margin_and_utilization(tripped, ramp, crossing)[which] >= 1.0
+        assert _explicit_margin_and_utilization(tripped, ramp, below)[which] < 1.0
+
+
 def test_contingency_thermal_binding_is_area3_tie():
     case = bundled_case("rts96")
     scan = contingency_scan(case, ["gen:323"], RampSpec(3, (1, 2)),

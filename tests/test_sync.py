@@ -14,6 +14,7 @@ from syncgrid.errors import (
     NotACycleError,
     NotAcyclicError,
     PsiOutOfRangeError,
+    SyncgridError,
 )
 from syncgrid.graph import WeightedGraph, build_laplacian, cycle_basis, divergence, edge_differences
 from syncgrid.rng import substream
@@ -39,6 +40,18 @@ def test_margin_zero_frequencies():
     assert a.margin == 0.0
     assert a.gamma_pred == 0.0
     assert a.condition_holds(0.0)
+
+
+def test_one_node_graph_has_zero_margin():
+    # no edges: the node sums are empty bincounts, which must still be float
+    g = WeightedGraph.from_edges(1, [])
+    assert sync_margin(g, [0.0]).margin == 0.0
+    assert divergence(g, []).dtype == np.float64
+    try:
+        sol = solve_equilibrium(g, [0.0])
+    except SyncgridError:
+        return
+    assert sol.cohesiveness == 0.0 and sol.residual == 0.0
 
 
 def test_margin_complete_graph_reduction():
