@@ -18,6 +18,17 @@ over edge endpoints.  A BFS tree from node 1 in edge order, cached on the
 frozen graph, answers connectivity, closes the fundamental cycles and
 integrates edge angles into node angles.
 
+Reweighting.  with_weights (and so scaled) keeps the parent's validated
+topology: it checks only the new weights and starts the new graph with
+every topology cache the parent has already built (edge count, index
+arrays, BFS tree, edge index) as the same objects.  sources and sinks are
+read-only, so one graph cannot change another's through them.  The two
+private bincount indexes stay writable: np.bincount copies a read-only
+input on every call, which costs the RK4 loop about 3% at n = 1022.
+Everything that depends on the weights, the weights array itself and the
+sparse Laplacian factor, belongs to the new graph alone and is rebuilt
+when first needed.
+
 Grounded systems.  The Laplacian and -J have the constant vector in their
 kernel.  Grounding node 1 keeps rows and columns 2..n, a block that is
 nonsingular for the Laplacian of a connected graph.  Below SPARSE_MIN_NODES
@@ -65,6 +76,20 @@ ZERO_EIGENVALUE_RTOL = 1e-9
 # docstring).  Every golden input has at most 73 nodes and stays dense.
 SPARSE_MIN_NODES = 200
 
+# Caches that depend on n and the edge endpoints only; with_weights shares them.
+_TOPOLOGY_CACHES = ("m", "sources", "sinks", "_endpoints", "_divergence_index",
+                    "bfs_tree", "edge_index")
+
+
+def _weight_error(i: int, j: int, w: float) -> ValueError:
+    kind = "non-positive" if w <= 0 else "non-finite"
+    return ValueError(f"edge ({i},{j}) has {kind} weight {w}")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 class BFSTree(NamedTuple):
     """Spanning tree as visit order plus, per node, parent, parent edge and depth.
@@ -85,7 +110,7 @@ class WeightedGraph:
     """Undirected weighted graph with an oriented edge list.
 
     Node ids are 1..n.  Edges are stored sorted lexicographically as
-    (source, sink, weight) with source < sink and weight > 0.
+    (source, sink, weight) with source < sink and 0 < weight < inf.
     """
 
     n: int
@@ -102,18 +127,23 @@ class WeightedGraph:
                 raise ValueError(f"edge ({i},{j}) outside node range 1..{self.n}")
             if i > j:
                 raise ValueError(f"edge ({i},{j}) not lexicographically oriented")
-            if not w > 0:
-                raise ValueError(f"edge ({i},{j}) has non-positive weight {w}")
+            if not 0 < w < np.inf:
+                raise _weight_error(i, j, w)
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "WeightedGraph":
-        """Build a graph, normalizing edge orientation and order."""
+        """Build a graph, normalizing edge orientation and order.
+
+        Node ids may be any numbers with integral values; others raise ValueError.
+        """
         normalized = []
-        for i, j, w in edges:
-            i, j = int(i), int(j)
+        for i0, j0, w in edges:
+            i, j = int(i0), int(j0)
+            if i != i0 or j != j0:
+                raise ValueError(f"edge ({i0},{j0}) has a non-integral node id")
             if i > j:
                 i, j = j, i
             normalized.append((i, j, float(w)))
@@ -128,11 +158,11 @@ class WeightedGraph:
 
     @cached_property
     def sources(self) -> np.ndarray:
-        return np.array([e[0] - 1 for e in self.edges], dtype=np.intp)
+        return _read_only(np.array([e[0] - 1 for e in self.edges], dtype=np.intp))
 
     @cached_property
     def sinks(self) -> np.ndarray:
-        return np.array([e[1] - 1 for e in self.edges], dtype=np.intp)
+        return _read_only(np.array([e[1] - 1 for e in self.edges], dtype=np.intp))
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -212,11 +242,28 @@ class WeightedGraph:
         return BFSTree(order=order, parent=parent, parent_edge=parent_edge, depth=depth)
 
     def with_weights(self, weights) -> "WeightedGraph":
-        """Same topology with a new weight per (sorted) edge."""
-        w = np.asarray(weights, dtype=float)
+        """Same topology with a new weight per (sorted) edge.
+
+        The topology is not validated again; only the weights are, each
+        finite and > 0 (ValueError naming the edge otherwise).  The new
+        graph starts with the parent's topology caches that are already
+        built (m, sources, sinks, _endpoints, _divergence_index, bfs_tree,
+        edge_index), as the same objects.  Its weights array is a copy of
+        the argument, and its sparse Laplacian factor is built anew.
+        """
+        w = np.array(weights, dtype=float)
         if w.shape != (self.m,):
             raise DimensionMismatchError(f"expected {self.m} weights, got {w.shape}")
-        return WeightedGraph(self.n, tuple((i, j, float(wk)) for (i, j, _), wk in zip(self.edges, w)))
+        bad = np.flatnonzero(~((w > 0) & (w < np.inf)))
+        if bad.size:
+            i, j, _ = self.edges[bad[0]]
+            raise _weight_error(i, j, w[bad[0]])
+        g = object.__new__(WeightedGraph)  # skips __post_init__: the topology is valid
+        cached = self.__dict__
+        g.__dict__.update({name: cached[name] for name in _TOPOLOGY_CACHES if name in cached})
+        g.__dict__.update(n=self.n, weights=w,
+                          edges=tuple((e[0], e[1], wk) for e, wk in zip(self.edges, w.tolist())))
+        return g
 
     def scaled(self, factor: float) -> "WeightedGraph":
         """Uniformly scale all coupling weights."""

@@ -17,6 +17,7 @@ is a pure function of (spec, sample index).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,6 +89,18 @@ def _rgg_edges(n: int, radius: float, rng: np.random.Generator) -> list[tuple[in
 SMN_NEIGHBORS_PER_SIDE = 2  # canonical small-world base lattice (degree 4)
 
 
+@lru_cache(maxsize=None)
+def _smn_lattice(n: int) -> tuple[tuple[int, int], ...]:
+    """Sorted (i, j), i < j, edges of the ring joining each node to its nearest neighbors."""
+    present = set()
+    for i in range(1, n + 1):
+        for k in range(1, SMN_NEIGHBORS_PER_SIDE + 1):
+            j = (i + k - 1) % n + 1
+            if i != j:
+                present.add((min(i, j), max(i, j)))
+    return tuple(sorted(present))
+
+
 def _smn_edges(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, int, float]]:
     """Small-world lattice with probabilistic rewiring.
 
@@ -97,26 +110,35 @@ def _smn_edges(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, in
     impossible).  Rewiring keeps endpoint i of a lattice edge and retargets
     the other endpoint to a uniformly chosen non-neighbor; self-loops and
     duplicate edges are rejected by construction.
+
+    The sorted lattice is built once per n and cached.  Lattice edges are
+    visited in that order, each drawing rng.random() and, when rewired,
+    rng.integers(count) over the non-neighbors of i in increasing id order;
+    an i with no non-neighbor keeps its edge.  Per-node adjacency sets make
+    a rewire O(deg log deg), from the sorted neighbors of i, instead of a
+    scan of the whole edge set, with the same draws.
     """
-    present: set[frozenset[int]] = set()
-    for i in range(1, n + 1):
-        for k in range(1, SMN_NEIGHBORS_PER_SIDE + 1):
-            j = (i + k - 1) % n + 1
-            if i != j:
-                present.add(frozenset((i, j)))
-    lattice = sorted(present, key=lambda e: tuple(sorted(e)))
-    for e in lattice:
+    lattice = _smn_lattice(n)
+    adj: list[set[int]] = [set() for _ in range(n + 1)]
+    for i, j in lattice:
+        adj[i].add(j)
+        adj[j].add(i)
+    for i, j in lattice:
         if rng.random() >= p:
             continue
-        i, j = tuple(sorted(e))
-        neighborhood = {i} | {next(iter(x - {i})) for x in present if i in x}
-        candidates = [w for w in range(1, n + 1) if w not in neighborhood]
-        if not candidates:
+        nbrs = adj[i]
+        count = n - 1 - len(nbrs)  # ids that are neither i nor a neighbor of i
+        if count == 0:
             continue
-        w = int(candidates[rng.integers(len(candidates))])
-        present.discard(e)
-        present.add(frozenset((i, w)))
-    return [(min(e), max(e), 1.0) for e in (tuple(s) for s in present)]
+        w = int(rng.integers(count)) + 1  # step over the taken ids up to the chosen one
+        for x in sorted(nbrs | {i}):
+            if x <= w:
+                w += 1
+        nbrs.discard(j)
+        adj[j].discard(i)
+        nbrs.add(w)
+        adj[w].add(i)
+    return [(i, j, 1.0) for i in range(1, n + 1) for j in adj[i] if j > i]  # from_edges sorts
 
 
 def generate_graph(spec: NominalNetworkSpec, sample: int = 0) -> WeightedGraph:

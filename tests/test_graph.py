@@ -228,6 +228,54 @@ def test_graph_validation():
         WeightedGraph(2, ((2, 1, 1.0),))  # orientation
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+def test_non_finite_or_non_positive_weight_names_the_edge(bad):
+    for build in (lambda: WeightedGraph.from_edges(3, [(1, 2, bad), (2, 3, 1.0)]),
+                  lambda: WeightedGraph.from_edges(3, [(1, 2, 1.0), (2, 3, 1.0)])
+                  .with_weights([1.0, bad])):
+        with pytest.raises(ValueError, match=r"edge \((1,2|2,3)\) has non-(finite|positive) weight"):
+            build()
+    with pytest.raises(ValueError, match=r"edge \(1,2\) has non-finite"):
+        WeightedGraph(3, ((1, 2, math.inf),))
+
+
+def test_non_integral_node_ids_are_rejected():
+    with pytest.raises(ValueError, match="non-integral"):
+        WeightedGraph.from_edges(3, [(1.5, 2, 1.0), (2, 3, 1.0)])
+    with pytest.raises(ValueError, match="non-integral"):
+        WeightedGraph.from_edges(3, [(1, 2, 1.0), (2, 3.9, 1.0)])
+    with pytest.raises(ValueError, match="non-integral"):
+        graph_from_dict({"n": 3, "edges": [[1, 2.7, 1.0], [2, 3, 1.0]]})
+    # integral floats are node ids
+    assert WeightedGraph.from_edges(3, [(2.0, 1, 1.0), (np.int64(3), 2.0, 1.0)]).edges == (
+        (1, 2, 1.0), (2, 3, 1.0))
+
+
+def test_with_weights_shares_topology_not_weights():
+    g = random_connected_graph(11)
+    for name in ("sources", "sinks", "_endpoints", "_divergence_index", "bfs_tree", "edge_index"):
+        getattr(g, name)
+    g._grounded_laplacian_lu
+    w = np.linspace(1.0, 2.0, g.m)
+    h = g.with_weights(w)
+    for name in ("m", "sources", "sinks", "_endpoints", "_divergence_index", "bfs_tree", "edge_index"):
+        assert getattr(h, name) is getattr(g, name), name
+    assert h.weights is not w and np.array_equal(h.weights, w)
+    assert "_grounded_laplacian_lu" not in vars(h)
+    assert h._grounded_laplacian_lu is not g._grounded_laplacian_lu
+    # the same graph as one built and validated from its edges
+    rebuilt = WeightedGraph(g.n, tuple((i, j, float(wk)) for (i, j, _), wk in zip(g.edges, w)))
+    assert h == rebuilt and hash(h) == hash(rebuilt) and h.edges == rebuilt.edges
+    assert all(type(x) is type(y) for e, f in zip(h.edges, rebuilt.edges) for x, y in zip(e, f))
+    assert np.array_equal(h.laplacian(), rebuilt.laplacian())
+    # the public index arrays are read-only
+    for name in ("sources", "sinks"):
+        with pytest.raises(ValueError):
+            getattr(h, name)[0] = 0
+    with pytest.raises(DimensionMismatchError):
+        g.with_weights(np.ones(g.m + 1))
+
+
 def test_graph_io_roundtrip(tmp_path):
     g = random_connected_graph(5)
     path = tmp_path / "g.json"

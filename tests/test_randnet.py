@@ -12,7 +12,7 @@ from syncgrid.randnet import (
     sample_frequencies,
     sample_weights,
 )
-from syncgrid.randnet import _erg_edges  # raw model, used for the moment test
+from syncgrid.randnet import SMN_NEIGHBORS_PER_SIDE, _erg_edges, _smn_edges  # raw models
 from syncgrid.rng import substream
 
 
@@ -48,6 +48,39 @@ def test_smn_rewiring_preserves_edge_count():
     g = generate_graph(spec(model="smn", p=0.6, n=16, seed=5))
     assert g.m == 32
     assert is_connected(g)
+
+
+def _smn_edges_reference(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, int, float]]:
+    """The edge-set-scanning small-world sampler that _smn_edges must reproduce draw for draw."""
+    present: set[frozenset[int]] = set()
+    for i in range(1, n + 1):
+        for k in range(1, SMN_NEIGHBORS_PER_SIDE + 1):
+            j = (i + k - 1) % n + 1
+            if i != j:
+                present.add(frozenset((i, j)))
+    lattice = sorted(present, key=lambda e: tuple(sorted(e)))
+    for e in lattice:
+        if rng.random() >= p:
+            continue
+        i, j = tuple(sorted(e))
+        neighborhood = {i} | {next(iter(x - {i})) for x in present if i in x}
+        candidates = [w for w in range(1, n + 1) if w not in neighborhood]
+        if not candidates:
+            continue
+        w = int(candidates[rng.integers(len(candidates))])
+        present.discard(e)
+        present.add(frozenset((i, w)))
+    return [(min(e), max(e), 1.0) for e in (tuple(s) for s in present)]
+
+
+def test_smn_edges_match_reference_sampler():
+    # n <= 5 covers the degenerate lattices: triangle, K4 and K5 leave no non-neighbor
+    for n in (3, 4, 5, 6, 7, 10, 20, 30, 50):
+        for p in (0.0, 0.1, 0.2, 0.5, 0.9, 1.0):
+            for seed in range(60):
+                got = _smn_edges(n, p, substream(seed, 1))
+                want = _smn_edges_reference(n, p, substream(seed, 1))
+                assert sorted(got) == sorted(want), (n, p, seed)
 
 
 def test_generated_graphs_are_connected():
@@ -113,6 +146,28 @@ def test_nominal_network_margin_below_one():
         assert is_connected(nominal.graph)
         assert abs(float(np.sum(nominal.omega))) <= 1e-12
         assert nominal.attempts >= 1
+
+
+def test_nominal_network_builds_one_bfs_tree_per_draw(monkeypatch):
+    # the reweighted draw shares the BFS tree that generate_graph's connectivity test built
+    tree = WeightedGraph.__dict__["bfs_tree"]
+    build, builds = tree.func, []
+    from_edges, topologies = WeightedGraph.from_edges.__func__, []
+
+    def counted_tree(g):
+        builds.append(None)
+        return build(g)
+
+    def counted_from_edges(cls, n, edges):
+        topologies.append(None)
+        return from_edges(cls, n, edges)
+
+    monkeypatch.setattr(tree, "func", counted_tree)
+    monkeypatch.setattr(WeightedGraph, "from_edges", classmethod(counted_from_edges))
+    nominal = nominal_network(spec(n=30, model="smn", p=0.2, alpha=13.0, seed=3))
+    assert nominal.attempts > 10
+    assert len(topologies) == nominal.attempts  # every topology draw was connected
+    assert len(builds) == nominal.attempts
 
 
 def test_nominal_network_determinism():

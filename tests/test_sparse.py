@@ -60,6 +60,15 @@ def test_margin_then_newton_factor_the_laplacian_once(monkeypatch):
     assert len(factors) == 1 + sol.iterations + 1
 
 
+def test_scaled_graph_factors_its_own_laplacian():
+    # scaled shares the topology but not the parent's factor: margin(K a) = margin(a) / K
+    g = large_graph(8)
+    omega = random_zero_mean(8, g.n)
+    margin = sync_margin(g, omega).margin
+    assert "_grounded_laplacian_lu" in vars(g)
+    assert sync_margin(g.scaled(2.0), omega).margin == pytest.approx(margin / 2.0, rel=1e-12)
+
+
 def test_sparse_and_dense_newton_agree(monkeypatch):
     g = large_graph(21)
     omega = random_zero_mean(22, g.n)
