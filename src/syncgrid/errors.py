@@ -77,7 +77,8 @@ class NoSyncInBracketError(SyncgridError):
 # --- sampling ---
 
 class InvalidSpecError(SyncgridError, ValueError):
-    """Random network parameters outside their documented ranges."""
+    """Study parameters (random network spec, scenario config, loading grid)
+    outside their documented ranges."""
 
 
 class NonFiniteInputError(SyncgridError, ValueError):

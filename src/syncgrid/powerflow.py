@@ -12,6 +12,18 @@ only active power with fixed voltage magnitudes is modeled.
 
 Two input formats are accepted: the package's JSON case schema and the
 bus/gen/branch table layout of the widely used MATPOWER text cases.
+
+A case carries its network.  The merged-edge WeightedGraph, the angle
+limits of its edges and the bus-id -> node map depend on the branches, the
+bus ids and the voltage magnitudes only.  One _merged_edges pass builds them
+the first time a case needs them, and the case keeps them (PowerCase._network).
+case_graph, branch_angle_limits (a copy of the limits), build_oscillator_model,
+injections_pu and the islanding test of apply_trips read them from there.
+The steps of a study that change only the power at buses, randomize_scenario,
+generator trips and apply_ramp, return cases that share the parent's network
+as the same objects (_with_buses), so a study of one topology builds one graph
+and one BFS tree.  A branch trip, or any dataclasses.replace of a case, starts
+a new case that builds its own network.
 """
 
 from __future__ import annotations
@@ -20,7 +32,9 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +42,7 @@ from .dynamics import OscillatorNetwork, rotating_frame
 from .equilibrium import EquilibriumSolution, solve_equilibrium
 from .errors import (
     InconsistentCaseError,
+    InvalidSpecError,
     IslandingDetectedError,
     NoAdjustableSourcesError,
     NoConvergenceError,
@@ -94,6 +109,9 @@ class PowerCase:
     approximations: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not (math.isfinite(self.base_mva) and self.base_mva > 0):
+            raise InconsistentCaseError(
+                f"base_mva must be finite and positive, got {self.base_mva}")
         ids = [b.id for b in self.buses]
         if len(set(ids)) != len(ids):
             raise InconsistentCaseError("duplicate bus ids")
@@ -117,11 +135,58 @@ class PowerCase:
 
     def injections_pu(self) -> np.ndarray:
         """Net real-power injection per node (generation minus load)."""
-        order = {bid: k for k, bid in enumerate(self.bus_order)}
-        inj = np.zeros(len(self.buses))
-        for b in self.buses:
-            inj[order[b.id]] = (b.pg_mw - b.pd_mw) / self.base_mva
-        return inj
+        return _injections_pu(self, [b.pg_mw for b in self.buses],
+                              [b.pd_mw for b in self.buses])
+
+    @cached_property
+    def _network(self) -> "_CaseNetwork":
+        """The case's network, built on first use (see the module docstring)."""
+        node_of = {bid: k for k, bid in enumerate(self.bus_order)}
+        merged = _merged_edges(self, node_of)
+        graph = WeightedGraph.from_edges(
+            len(self.buses), [(i, j, entry["a"]) for (i, j), entry in merged.items()])
+        limits: dict[tuple[int, int], float] = {}
+        for i, j, a in graph.edges:
+            entry = merged[(i, j)]
+            if entry["angle_limit"] is not None:
+                limits[(i, j)] = entry["angle_limit"]
+            elif entry["has_rating"]:
+                limits[(i, j)] = math.asin(min(1.0, entry["rating_pu"] / a))
+        return _CaseNetwork(graph=graph, angle_limits=limits, node_of=node_of)
+
+
+class _CaseNetwork(NamedTuple):
+    """What a case's branches, bus ids and voltage magnitudes determine."""
+
+    graph: WeightedGraph                          # merged parallel branches
+    angle_limits: dict[tuple[int, int], float]    # limited edges, in graph.edges order
+    node_of: dict[int, int]                       # bus id -> 0-based node index
+
+
+def _with_buses(case: PowerCase, buses: tuple[Bus, ...]) -> PowerCase:
+    """case with new buses of the same ids, in the same order, with the same vm.
+
+    The result shares case's network as the same objects; the case checks,
+    which such buses cannot fail, are not run again.
+    """
+    new = object.__new__(PowerCase)
+    new.__dict__.update(case.__dict__, buses=buses, _network=case._network)
+    return new
+
+
+def _bus_with(b: Bus, pg_mw: float, pd_mw: float, kind: str | None = None) -> Bus:
+    """b with new generation and load (and kind), through the constructor."""
+    return Bus(id=b.id, kind=kind or b.kind, vm=b.vm, pg_mw=pg_mw, pd_mw=pd_mw,
+               area=b.area, inertia=b.inertia, damping=b.damping)
+
+
+def _injections_pu(case: PowerCase, pg_mw: list[float], pd_mw: list[float]) -> np.ndarray:
+    """Per node (pg - pd) / base_mva, from MW values listed in case.buses order."""
+    node_of = case._network.node_of
+    inj = np.zeros(len(case.buses))
+    nodes = [node_of[b.id] for b in case.buses]
+    inj[nodes] = (np.array(pg_mw) - np.array(pd_mw)) / case.base_mva
+    return inj
 
 
 # --- parsing ---
@@ -264,13 +329,12 @@ def bundled_case(name: str) -> PowerCase:
 
 # --- model construction ---
 
-def _merged_edges(case: PowerCase) -> dict[tuple[int, int], dict]:
+def _merged_edges(case: PowerCase, node_of: dict[int, int]) -> dict[tuple[int, int], dict]:
     """Combine parallel branches: susceptances and ratings add."""
-    order = {bid: k + 1 for k, bid in enumerate(case.bus_order)}
     vm = {b.id: b.vm for b in case.buses}
     merged: dict[tuple[int, int], dict] = {}
     for br in case.branches:
-        i, j = order[br.from_bus], order[br.to_bus]
+        i, j = node_of[br.from_bus] + 1, node_of[br.to_bus] + 1
         if i > j:
             i, j = j, i
         entry = merged.setdefault((i, j), {"a": 0.0, "rating_pu": 0.0, "has_rating": False,
@@ -286,25 +350,17 @@ def _merged_edges(case: PowerCase) -> dict[tuple[int, int], dict]:
 
 
 def case_graph(case: PowerCase) -> WeightedGraph:
-    merged = _merged_edges(case)
-    edges = [(i, j, entry["a"]) for (i, j), entry in merged.items()]
-    return WeightedGraph.from_edges(len(case.buses), edges)
+    """The case's merged-edge graph, shared by every case that shares its network."""
+    return case._network.graph
 
 
 def branch_angle_limits(case: PowerCase) -> dict[tuple[int, int], float]:
     """Per merged edge thermal limit as an angle: arcsin(rating / a_ij).
 
     Explicit angle limits take precedence.  Edges without any rating are
-    omitted (unconstrained).
+    omitted (unconstrained).  The dict is a copy, keyed in graph.edges order.
     """
-    limits: dict[tuple[int, int], float] = {}
-    for (i, j), entry in _merged_edges(case).items():
-        if entry["angle_limit"] is not None:
-            limits[(i, j)] = entry["angle_limit"]
-        elif entry["has_rating"]:
-            ratio = min(1.0, entry["rating_pu"] / entry["a"])
-            limits[(i, j)] = math.asin(ratio)
-    return limits
+    return dict(case._network.angle_limits)
 
 
 def build_oscillator_model(case: PowerCase) -> OscillatorNetwork:
@@ -315,8 +371,10 @@ def build_oscillator_model(case: PowerCase) -> OscillatorNetwork:
     so the synchronization frequency is zero.
     """
     g = case_graph(case)
-    by_id = {b.id: b for b in case.buses}
-    buses = [by_id[bid] for bid in case.bus_order]
+    node_of = case._network.node_of
+    buses = [None] * g.n
+    for b in case.buses:
+        buses[node_of[b.id]] = b
     second = frozenset(k + 1 for k, b in enumerate(buses) if b.kind == "gen")
     m = np.ones(g.n) * DEFAULT_INERTIA
     d = np.empty(g.n)
@@ -412,7 +470,9 @@ class ScenarioConfig:
                      "fast_ramp_fraction", "controllable_load_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+                raise InvalidSpecError(f"{name} must lie in [0, 1], got {value}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise InvalidSpecError(f"sigma must be finite and non-negative, got {self.sigma}")
 
 
 def randomize_scenario(case: PowerCase, cfg: ScenarioConfig, sample: int = 0) -> PowerCase:
@@ -461,8 +521,8 @@ def randomize_scenario(case: PowerCase, cfg: ScenarioConfig, sample: int = 0) ->
             pg += share
         if b.id in ctrl_loads:
             pd -= share
-        balanced.append(replace(b, pg_mw=pg, pd_mw=pd))
-    return replace(case, buses=tuple(balanced))
+        balanced.append(_bus_with(b, pg, pd))
+    return _with_buses(case, tuple(balanced))
 
 
 # --- contingencies and loading sweeps ---
@@ -500,7 +560,8 @@ def apply_trips(case: PowerCase, trips: list[str]) -> PowerCase:
     """Trip generators ('gen:ID') and branches ('branch:I-J').
 
     A branch trip removes every parallel circuit between the two buses.
-    Islanding raises immediately.
+    Islanding raises immediately.  With generator trips only, the tripped
+    case shares case's network, so the islanding test reuses its BFS tree.
     """
     buses = list(case.buses)
     branches = list(case.branches)
@@ -510,7 +571,7 @@ def apply_trips(case: PowerCase, trips: list[str]) -> PowerCase:
             bid = int(spec)
             for k, b in enumerate(buses):
                 if b.id == bid:
-                    buses[k] = replace(b, pg_mw=0.0, kind="load")
+                    buses[k] = _bus_with(b, 0.0, b.pd_mw, kind="load")
                     break
             else:
                 raise InconsistentCaseError(f"trip references missing bus {bid}")
@@ -523,18 +584,17 @@ def apply_trips(case: PowerCase, trips: list[str]) -> PowerCase:
             branches = kept
         else:
             raise ValueError(f"unknown trip kind {kind!r}")
-    tripped = replace(case, buses=tuple(buses), branches=tuple(branches))
+    if len(branches) == len(case.branches):  # every branch trip removes at least one
+        tripped = _with_buses(case, tuple(buses))
+    else:
+        tripped = replace(case, buses=tuple(buses), branches=tuple(branches))
     if not is_connected(case_graph(tripped)):
         raise IslandingDetectedError("network splits after trips")
     return tripped
 
 
-def apply_ramp(case: PowerCase, ramp: RampSpec, loading: float) -> PowerCase:
-    """Grow the ramp area's total load by the loading fraction.
-
-    Compensating generators in the other areas each pick up an equal MW
-    share of the added demand.
-    """
+def _ramp_mw(case: PowerCase, ramp: RampSpec, loading: float) -> tuple[list[float], list[float]]:
+    """Generation and load in MW per bus, in case.buses order, at this loading."""
     area_loads = [b.id for b in case.buses if b.area == ramp.load_area and b.pd_mw > 0]
     load_ids = set(area_loads)
     extra = loading * sum(b.pd_mw for b in case.buses if b.id in load_ids)
@@ -545,15 +605,27 @@ def apply_ramp(case: PowerCase, ramp: RampSpec, loading: float) -> PowerCase:
         raise NoAdjustableSourcesError("no compensating generators in the ramp areas")
     share = extra / len(comp_gens) if comp_gens else 0.0
     increment = extra / len(area_loads) if area_loads else 0.0
-    buses = []
+    pgs, pds = [], []
     for b in case.buses:
         pg, pd = b.pg_mw, b.pd_mw
         if b.id in load_ids:
             pd = pd + increment if ramp.mode == "uniform" else pd * (1.0 + loading)
         if b.id in gen_ids:
             pg = pg + share
-        buses.append(replace(b, pg_mw=pg, pd_mw=pd))
-    return replace(case, buses=tuple(buses))
+        pgs.append(pg)
+        pds.append(pd)
+    return pgs, pds
+
+
+def apply_ramp(case: PowerCase, ramp: RampSpec, loading: float) -> PowerCase:
+    """Grow the ramp area's total load by the loading fraction.
+
+    Compensating generators in the other areas each pick up an equal MW
+    share of the added demand.  The ramped case shares case's network.
+    """
+    pgs, pds = _ramp_mw(case, ramp, loading)
+    return _with_buses(case, tuple(_bus_with(b, pg, pd)
+                                   for b, pg, pd in zip(case.buses, pgs, pds)))
 
 
 def contingency_scan(
@@ -573,12 +645,19 @@ def contingency_scan(
     psi = B^T L^dagger omega are linear in omega.  So on the tripped network
     every edge flow is, in exact arithmetic, psi(s) = psi0 + s psi1 with
     psi0 = psi(0) and psi1 = psi(1) - psi(0), and each grid loading and
-    bisection step is vector work on psi0 and psi1.
+    bisection step is vector work on psi0 and psi1.  The two ramped
+    injection vectors come from apply_ramp's arithmetic without building
+    ramped buses.  loadings must be finite and strictly increasing
+    (InvalidSpecError, a ValueError, otherwise).
     """
-    tripped = apply_trips(case, trips)
     if loadings is None:
         loadings = np.linspace(0.0, 1.0, 21)
     loadings = np.asarray(loadings, dtype=float)
+    if loadings.ndim != 1 or not np.all(np.isfinite(loadings)):
+        raise InvalidSpecError(f"loadings must be a finite 1-D sequence, got {loadings}")
+    if np.any(np.diff(loadings) <= 0):  # the crossing bisection needs an ascending grid
+        raise InvalidSpecError(f"loadings must be strictly increasing, got {loadings}")
+    tripped = apply_trips(case, trips)
 
     # A ramp changes injections only, so the model and the limits are fixed.
     net = build_oscillator_model(tripped)
@@ -589,8 +668,8 @@ def contingency_scan(
     limit_angles = np.array([limits[line] for _, line in limited])
 
     def flows(s: float) -> np.ndarray:
-        ramped = apply_ramp(tripped, ramp, s)
-        omega = rotating_frame(replace(net, omega=ramped.injections_pu())).omega
+        injections = _injections_pu(tripped, *_ramp_mw(tripped, ramp, s))
+        omega = rotating_frame(replace(net, omega=injections)).omega
         return sync_margin(net.graph, omega).psi_particular
 
     psi0 = flows(0.0)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .equilibrium import EquilibriumSolution, _stable_by_factor, fixed_point_residual, phase_cohesiveness
 from .errors import (
@@ -361,8 +361,12 @@ def min_infinity_norm_solution(g: WeightedGraph, omega) -> MinNormSolution:
         b_ub = np.concatenate([-psi_pt, psi_pt])
         cost = np.zeros(rank + 1)
         cost[-1] = 1.0
-        bounds = [(None, None)] * rank + [(0.0, None)]
-        result = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        lower = np.full(rank + 1, -np.inf)
+        lower[-1] = 0.0
+        # milp with no integrality is the same HiGHS LP as linprog's, with
+        # less input processing around the solve
+        result = milp(cost, constraints=LinearConstraint(a_ub, -np.inf, b_ub),
+                      bounds=Bounds(lower, np.inf))
         if not result.success:
             raise RuntimeError(f"min-norm LP failed: {result.message}")
         mu = result.x[:rank]

@@ -228,3 +228,11 @@ def test_gen_rejects_out_of_range_p(capsys):
     code = main(["gen", "--model", "erg", "--n", "8", "--p", "2", "--alpha", "5"])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_contingency_rejects_flat_loading_grid(tmp_path, capsys):
+    # a zero maximum loading gives a grid that is not strictly increasing
+    code = main(["contingency", "--case", RTS96, "--trip", "gen:323", "--ramp", "southeast",
+                 "--max-loading", "0", "--points", "3", "--out", str(tmp_path / "c.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: loadings")

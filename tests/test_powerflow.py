@@ -1,5 +1,6 @@
 """Case ingestion, oscillator mapping, DC/AC flow, scenarios, contingencies."""
 
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,7 @@ from syncgrid.errors import (
     NonLosslessCaseError,
     ParseError,
 )
+from syncgrid.graph import WeightedGraph
 from syncgrid.powerflow import (
     RampSpec,
     ScenarioConfig,
@@ -31,9 +33,15 @@ from syncgrid.powerflow import (
     parse_case,
     randomize_scenario,
     save_case,
+    scenario_sample,
     load_case,
 )
-from syncgrid.sync import Infeasible, necessary_conditions, sync_margin
+from syncgrid.sync import (
+    Infeasible,
+    min_infinity_norm_solution,
+    necessary_conditions,
+    sync_margin,
+)
 
 
 def two_bus_case(pg=50.0, a=1.0):
@@ -86,6 +94,16 @@ def test_dangling_branch_rejected():
             "base_mva": 100.0,
             "buses": [{"id": 1, "type": "gen"}, {"id": 2, "type": "load"}],
             "branches": [{"from": 1, "to": 3, "x": 0.1}],
+        }))
+
+
+@pytest.mark.parametrize("base_mva", [0.0, -100.0, float("nan"), float("inf")])
+def test_bad_base_mva_rejected(base_mva):
+    with pytest.raises(InconsistentCaseError, match="base_mva"):
+        parse_case(json.dumps({
+            "base_mva": base_mva,
+            "buses": [{"id": 1, "type": "gen", "pg": 10}, {"id": 2, "type": "load", "pd": 10}],
+            "branches": [{"from": 1, "to": 2, "x": 0.5}],
         }))
 
 
@@ -237,6 +255,12 @@ def test_scenario_no_adjustable_sources():
         randomize_scenario(case, cfg)
 
 
+@pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+def test_scenario_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        ScenarioConfig(sigma=sigma)
+
+
 def test_scenario_accuracy_statistic():
     # randomized 9-bus scenarios stay well predicted by arcsin(margin)
     case = bundled_case("case9")
@@ -362,6 +386,14 @@ def test_affine_contingency_scan_matches_explicit_ramps(trips, ramp):
         assert _explicit_margin_and_utilization(tripped, ramp, below)[which] < 1.0
 
 
+@pytest.mark.parametrize("loadings", [[1.0, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, float("nan"), 1.0],
+                                      [0.0, float("inf")]])
+def test_contingency_scan_rejects_bad_loadings(loadings):
+    # the crossing bisection assumes an ascending grid of finite loadings
+    with pytest.raises(ValueError, match="loadings"):
+        contingency_scan(bundled_case("case9"), [], RampSpec(1, (1,)), loadings=loadings)
+
+
 def test_contingency_thermal_binding_is_area3_tie():
     case = bundled_case("rts96")
     scan = contingency_scan(case, ["gen:323"], RampSpec(3, (1, 2)),
@@ -370,3 +402,101 @@ def test_contingency_thermal_binding_is_area3_tie():
     order = case.bus_order
     binding = tuple(sorted(order[k - 1] for k in scan.binding_line))
     assert binding in ((121, 325), (223, 318))
+
+
+# --- one network per case topology ---
+
+RTS_RAMP = RampSpec(3, (1, 2))
+
+
+def _count_bus_replaces(monkeypatch) -> list:
+    """Record every dataclasses.replace of a Bus, however the module reaches it."""
+    original = dataclasses.replace
+    calls = []
+
+    def counted(obj, **changes):
+        if isinstance(obj, powerflow.Bus):
+            calls.append(obj)
+        return original(obj, **changes)
+
+    monkeypatch.setattr(dataclasses, "replace", counted)
+    monkeypatch.setattr(powerflow, "replace", counted)
+    return calls
+
+
+def _rts_item(case, sample):
+    """The rts96 benchmark item: scenario, margin, min-norm, AC flow, gen:323 scan."""
+    scenario = randomize_scenario(case, ScenarioConfig(seed=4), sample=sample)
+    net = build_oscillator_model(scenario)
+    sync_margin(net.graph, net.omega)
+    min_infinity_norm_solution(net.graph, net.omega)
+    ac_power_flow(scenario)
+    contingency_scan(scenario, ["gen:323"], RTS_RAMP, loadings=np.linspace(0.0, 2.0, 11))
+
+
+def test_scenario_samples_share_one_graph(monkeypatch):
+    builds = count_calls(monkeypatch, WeightedGraph, "from_edges")
+    case = bundled_case("rts96")
+    for sample in range(40):
+        scenario_sample(case, ScenarioConfig(seed=2), sample=sample)
+    assert len(builds) == 1
+
+
+def test_warm_study_item_builds_no_network(monkeypatch):
+    case = bundled_case("rts96")
+    _rts_item(case, 0)
+    builds = count_calls(monkeypatch, WeightedGraph, "from_edges")
+    merges = count_calls(monkeypatch, powerflow, "_merged_edges")
+    bus_replaces = _count_bus_replaces(monkeypatch)
+    _rts_item(case, 1)
+    assert (len(builds), len(merges), len(bus_replaces)) == (0, 0, 0)
+
+
+def test_branch_trip_builds_one_new_graph(monkeypatch):
+    case = bundled_case("rts96")
+    parent = case_graph(case)
+    builds = count_calls(monkeypatch, WeightedGraph, "from_edges")
+    tripped = apply_trips(case, ["branch:103-109"])
+    build_oscillator_model(tripped)
+    branch_angle_limits(tripped)
+    assert len(builds) == 1
+    assert case_graph(tripped) is not parent
+    assert case_graph(tripped).m == parent.m - 1
+    assert case_graph(apply_trips(case, ["gen:323"])) is parent
+
+
+def test_replaced_voltage_gets_its_own_graph():
+    case = two_bus_case(a=4.0)
+    assert case_graph(case).weights[0] == pytest.approx(4.0)
+    low = dataclasses.replace(case.buses[1], vm=0.5)
+    changed = dataclasses.replace(case, buses=(case.buses[0], low))
+    assert case_graph(changed).weights[0] == pytest.approx(2.0)
+    assert case_graph(case).weights[0] == pytest.approx(4.0)
+
+
+def test_returned_angle_limits_are_a_copy():
+    case = bundled_case("rts96")
+    loadings = np.linspace(0.0, 2.0, 11)
+    before = contingency_scan(case, ["gen:323"], RTS_RAMP, loadings=loadings)
+    limits = branch_angle_limits(case)
+    for line in limits:
+        limits[line] = 1e-3
+    after = contingency_scan(case, ["gen:323"], RTS_RAMP, loadings=loadings)
+    assert np.array_equal(after.line_utilization, before.line_utilization)
+    assert after.predicted_limit_loading == before.predicted_limit_loading
+    assert after.binding_line == before.binding_line
+
+
+@pytest.mark.parametrize("mode", ["uniform", "proportional"])
+def test_ramp_helper_matches_apply_ramp(mode):
+    ramp = RampSpec(3, (1, 2), mode=mode)
+    tripped = apply_trips(randomize_scenario(bundled_case("rts96"), ScenarioConfig(seed=9)),
+                          ["gen:323"])
+    for s in (0.0, 0.37, 1.0, 2.0):
+        ramped = apply_ramp(tripped, ramp, s)
+        by_id = {b.id: b for b in ramped.buses}
+        scalar = [(by_id[bid].pg_mw - by_id[bid].pd_mw) / ramped.base_mva
+                  for bid in ramped.bus_order]
+        helper = powerflow._injections_pu(tripped, *powerflow._ramp_mw(tripped, ramp, s))
+        assert np.array_equal(helper, ramped.injections_pu())
+        assert helper.tolist() == scalar

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from conftest import cycle_graph, random_connected_graph, random_tree, random_zero_mean
 from syncgrid.equilibrium import fixed_point_residual, solve_equilibrium
@@ -386,3 +387,35 @@ def test_min_norm_certifies_nonexistence():
         assert sol.cohesiveness > math.pi / 2
     except Exception:
         pass
+
+
+def _linprog_min_norm(g: WeightedGraph, omega) -> float:
+    """The epigraph LP of min_infinity_norm_solution, solved through linprog."""
+    space = auxiliary_solution_space(g, omega)
+    rank = space.basis.rank
+    h_mat = (space.basis.vectors / g.weights).T
+    ones = np.ones((g.m, 1))
+    cost = np.zeros(rank + 1)
+    cost[-1] = 1.0
+    result = linprog(cost, A_ub=np.block([[h_mat, -ones], [-h_mat, -ones]]),
+                     b_ub=np.concatenate([-space.psi_particular, space.psi_particular]),
+                     bounds=[(None, None)] * rank + [(0.0, None)], method="highs")
+    assert result.success
+    return float(np.max(np.abs(space.psi_particular + h_mat @ result.x[:rank])))
+
+
+def test_min_norm_milp_matches_linprog():
+    # milp solves the same HiGHS LP as linprog: same optimum, feasible flows
+    checked = 0
+    for seed in range(300):
+        g = random_connected_graph(seed, n_min=4, n_max=16, extra_edges=4)
+        if g.m < g.n:  # a tree: no LP is solved
+            continue
+        omega = random_zero_mean(seed, g.n, scale=3.0)
+        result = min_infinity_norm_solution(g, omega)
+        assert abs(result.norm - _linprog_min_norm(g, omega)) <= 1e-12
+        assert np.max(np.abs(divergence(g, result.psi_star) - omega)) <= 1e-9
+        checked += 1
+        if checked == 100:
+            break
+    assert checked == 100
