@@ -10,24 +10,40 @@ edge interactions:
 Integration is fixed-step RK4; the equations are smooth so adaptive
 stepping buys nothing at the problem sizes handled here.  All defaults
 are recorded in the trajectory metadata for reproducibility.
+
+The right-hand side evaluates the coupling through graph._sine_coupling,
+B diag(a) sin(B^T theta) with no input checks, and divides the torque by
+the damping on every node at once (1.0 stands in on second-order nodes,
+whose theta_dot is their frequency, so zero damping there divides by
+nothing).  A first-order system returns that n-vector as it is.  The
+derivative at the end of a step, evaluated anyway when the step is
+recorded or tested for steadiness, is exactly the next step's k1 and is
+reused: a steady_tol run evaluates the right-hand side 4 times per step,
+not 5.  Every floating-point operation is the one the plain five-stage
+loop over divergence(g, sin(edge_differences(g, theta))) performs, in the
+same order, so trajectories are bit-identical to it;
+tests/test_dynamics.py keeps that loop as the reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .equilibrium import phase_cohesiveness, solve_equilibrium
 from .errors import (
     DimensionMismatchError,
+    InvalidSpecError,
     NoConvergenceError,
+    NonFiniteInputError,
     NonFiniteStateError,
     NoSyncInBracketError,
     SingularJacobianError,
 )
-from .graph import WeightedGraph, divergence, edge_differences, require_connected, solve_poisson
+from .graph import WeightedGraph, _sine_coupling, edge_differences, require_connected, solve_poisson
 from .rng import substream
 from .sync import sync_margin
 
@@ -60,6 +76,9 @@ class OscillatorNetwork:
             raise DimensionMismatchError(f"omega must have length {n}")
         if self.M.shape != (n,) or self.D.shape != (n,):
             raise DimensionMismatchError(f"M and D must have length {n}")
+        for name in ("omega", "M", "D"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise NonFiniteInputError(f"{name} holds nan or inf")
         bad = [i for i in self.second_order if not 1 <= i <= n]
         if bad:
             raise ValueError(f"second-order ids outside 1..{n}: {bad}")
@@ -69,14 +88,21 @@ class OscillatorNetwork:
         if np.any(self.D <= 0):
             raise ValueError("damping must be positive on all nodes")
 
-    @property
+    @cached_property
     def v1_indices(self) -> np.ndarray:
-        return np.array(sorted(i - 1 for i in self.second_order), dtype=np.intp)
+        """0-based second-order node indices, ascending (read-only)."""
+        v1 = np.array(sorted(i - 1 for i in self.second_order), dtype=np.intp)
+        v1.flags.writeable = False
+        return v1
 
-    @property
+    @cached_property
     def v2_indices(self) -> np.ndarray:
-        v1 = set(self.second_order)
-        return np.array([i for i in range(self.graph.n) if i + 1 not in v1], dtype=np.intp)
+        """0-based first-order node indices, ascending (read-only)."""
+        first = np.ones(self.graph.n, dtype=bool)
+        first[self.v1_indices] = False
+        v2 = np.flatnonzero(first)
+        v2.flags.writeable = False
+        return v2
 
     @classmethod
     def first_order(cls, g: WeightedGraph, omega, damping: float | np.ndarray = 1.0) -> "OscillatorNetwork":
@@ -116,8 +142,12 @@ class Trajectory:
         return self.theta_dot[-1]
 
 
-def _torque(g: WeightedGraph, omega: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    return omega - divergence(g, np.sin(edge_differences(g, theta)))
+def _check_steps(t_end: float, step: float, record_stride: int) -> None:
+    for name, value in (("step", step), ("t_end", t_end)):
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidSpecError(f"{name} must be finite and positive, got {value}")
+    if not (record_stride >= 1 and float(record_stride).is_integer()):
+        raise InvalidSpecError(f"record_stride must be an integer of at least 1, got {record_stride}")
 
 
 def rk4_integrate(
@@ -135,55 +165,60 @@ def rk4_integrate(
     steady_tol: float | None = None,
     steady_window: float = 1.0,
 ) -> Trajectory:
-    """Raw fixed-step RK4 for the mixed-order system (no parameter checks).
+    """Raw fixed-step RK4 for the mixed-order system.
 
     v1/v2 are 0-based index arrays; nu0 holds initial frequencies on v1.
     Damping may be zero on v1 nodes (conservative test configurations).
+    Only the step contract is checked: step and t_end finite and positive,
+    record_stride an integer of at least 1 (InvalidSpecError otherwise).
     When steady_tol is set, integration stops once ||theta_dot||_inf stayed
     below it throughout a full window of steady_window time units.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    _check_steps(t_end, step, record_stride)
     n = g.n
-    n1 = len(v1)
-    d2 = damping[v2]
+    scale = np.array(damping, dtype=float)
+    scale[v1] = 1.0  # theta_dot on v1 is nu, not torque / damping
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        theta = y[:n]
-        nu = y[n:]
-        torque = _torque(g, omega, theta)
-        dtheta = np.empty(n)
-        if len(v2):
-            dtheta[v2] = torque[v2] / d2
-        dtheta[v1] = nu
-        dnu = (torque[v1] - damping[v1] * nu) / m1
-        return np.concatenate([dtheta, dnu])
+    if len(v1):
+        d1 = damping[v1]
 
-    def full_theta_dot(y: np.ndarray) -> np.ndarray:
-        return rhs(y)[:n]
+        def rhs(y: np.ndarray) -> np.ndarray:
+            nu = y[n:]
+            torque = omega - _sine_coupling(g, y[:n])
+            dtheta = torque / scale
+            dtheta[v1] = nu
+            dnu = (torque[v1] - d1 * nu) / m1
+            return np.concatenate([dtheta, dnu])
+    else:
+        def rhs(y: np.ndarray) -> np.ndarray:
+            return (omega - _sine_coupling(g, y)) / scale
 
     n_steps = max(1, int(round(t_end / step)))
+    half, sixth = 0.5 * step, step / 6.0
     y = np.concatenate([np.asarray(theta0, dtype=float), np.asarray(nu0, dtype=float)])
+    k1 = rhs(y)  # the derivative at y is the next step's k1
     times = [0.0]
     thetas = [y[:n].copy()]
-    dots = [full_theta_dot(y)]
+    dots = [k1[:n]]
 
     window_steps = max(1, int(round(steady_window / step)))
     window_max = 0.0
     in_window = 0
 
     for k in range(1, n_steps + 1):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * step * k1)
-        k3 = rhs(y + 0.5 * step * k2)
+        if k1 is None:
+            k1 = rhs(y)
+        k2 = rhs(y + half * k1)
+        k3 = rhs(y + half * k2)
         k4 = rhs(y + step * k3)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = None
         if not np.all(np.isfinite(y)):
             raise NonFiniteStateError(f"state diverged at t = {k * step:.6g}")
         record = (k % record_stride == 0) or (k == n_steps)
-        dot = None
         if record or steady_tol is not None:
-            dot = full_theta_dot(y)
+            k1 = rhs(y)
+            dot = k1[:n]
         if record:
             times.append(k * step)
             thetas.append(y[:n].copy())
@@ -221,7 +256,9 @@ def simulate(
     """Integrate the network from (theta0, theta_dot0).
 
     theta_dot0 applies to second-order nodes only (ordered by node id) and
-    defaults to rest.
+    defaults to rest.  Raises NonFiniteInputError when either holds nan or
+    inf, and InvalidSpecError when step or t_end is not finite and
+    positive or record_stride is not an integer of at least 1.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (net.graph.n,):
@@ -233,6 +270,9 @@ def simulate(
         nu0 = np.asarray(theta_dot0, dtype=float)
         if nu0.shape != (len(v1),):
             raise DimensionMismatchError(f"theta_dot0 must have length {len(v1)} (second-order nodes)")
+    for name, value in (("theta0", theta0), ("theta_dot0", nu0)):
+        if not np.all(np.isfinite(value)):
+            raise NonFiniteInputError(f"{name} holds nan or inf")
     return rk4_integrate(
         net.graph, net.omega, v1, net.v2_indices, net.M[v1], net.D,
         theta0, nu0, t_end, step, record_stride=record_stride, steady_tol=steady_tol,

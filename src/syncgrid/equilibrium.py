@@ -34,7 +34,7 @@ from .errors import (
 from .graph import (
     SPARSE_MIN_NODES,
     WeightedGraph,
-    divergence,
+    _sine_coupling,
     edge_differences,
     require_connected,
     solve_poisson,
@@ -77,7 +77,10 @@ def fixed_point_residual(g: WeightedGraph, omega, theta) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (g.n,):
         raise DimensionMismatchError(f"expected length-{g.n} omega, got {omega.shape}")
-    return divergence(g, np.sin(edge_differences(g, theta))) - omega
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (g.n,):
+        raise DimensionMismatchError(f"expected length-{g.n} vector, got {theta.shape}")
+    return _sine_coupling(g, theta) - omega
 
 
 def jacobian(g: WeightedGraph, theta) -> np.ndarray:

@@ -14,9 +14,13 @@ This module is the one place that maps edges onto nodes.
 WeightedGraph.laplacian(c) assembles B diag(c) B^T for any edge vector c:
 the weights by default, -a cos(B^T theta) for the Newton Jacobian.  Its
 diagonal, the weighted degrees and the divergence are each one np.bincount
-over edge endpoints.  A BFS tree from node 1 in edge order, cached on the
-frozen graph, answers connectivity, closes the fundamental cycles and
-integrates edge angles into node angles.
+over edge endpoints.  The coupling B diag(a) sin(B^T theta), which the
+flow-balance residual and every RK4 right-hand side evaluate, goes through
+one private kernel, _sine_coupling: the divergence of sin(B^T theta) with
+the input checks left to its callers, bit for bit the same.  A BFS tree
+from node 1 in edge order, cached on the frozen graph, answers
+connectivity, closes the fundamental cycles and integrates edge angles
+into node angles.
 
 Reweighting.  with_weights (and so scaled) keeps the parent's validated
 topology: it checks only the new weights and starts the new graph with
@@ -291,6 +295,17 @@ def divergence(g: WeightedGraph, psi) -> np.ndarray:
     if psi.shape != (g.m,):
         raise DimensionMismatchError(f"expected length-{g.m} edge vector, got {psi.shape}")
     flow = g.weights * psi
+    net = np.bincount(g._divergence_index, np.concatenate([flow, -flow]), g.n)
+    return net.astype(float, copy=False)  # with no edges bincount returns int64
+
+
+def _sine_coupling(g: WeightedGraph, theta: np.ndarray) -> np.ndarray:
+    """B diag(a) sin(B^T theta) for a float n-vector theta, without input checks.
+
+    The same operations in the same order as
+    divergence(g, np.sin(edge_differences(g, theta))), so the same bits.
+    """
+    flow = g.weights * np.sin(theta[g.sinks] - theta[g.sources])
     net = np.bincount(g._divergence_index, np.concatenate([flow, -flow]), g.n)
     return net.astype(float, copy=False)  # with no edges bincount returns int64
 

@@ -86,6 +86,16 @@ def test_simulate(tmp_path, graph_file):
     assert float(rows[1][0]) == 0.0
 
 
+@pytest.mark.parametrize("flag,value", [("--step", "0"), ("--t-end", "nan"), ("--record-stride", "0")])
+def test_simulate_rejects_bad_step_contract(tmp_path, capsys, flag, value):
+    net = {"graph": {"n": 2, "edges": [[1, 2, 2.0]]}, "omega": [1.0, -1.0], "D": 1.0}
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(net))
+    code = main(["simulate", "--net", str(net_path), flag, value, "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: " + flag[2:].replace("-", "_"))
+
+
 def test_kcritical(tmp_path):
     g_path = tmp_path / "g2.json"
     save_graph(WeightedGraph.from_edges(2, [(1, 2, 1.0)]), str(g_path))

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph, random_zero_mean
+from conftest import count_calls, random_connected_graph, random_zero_mean
+from syncgrid import graph
 from syncgrid.dynamics import (
     KCriticalResult,
     OscillatorNetwork,
@@ -19,8 +20,8 @@ from syncgrid.dynamics import (
     simulate,
 )
 from syncgrid.equilibrium import fixed_point_residual, wrap_angles
-from syncgrid.errors import NonFiniteStateError
-from syncgrid.graph import WeightedGraph
+from syncgrid.errors import InvalidSpecError, NonFiniteInputError, NonFiniteStateError
+from syncgrid.graph import WeightedGraph, divergence, edge_differences
 from syncgrid.rng import substream
 from syncgrid.sync import sync_margin
 
@@ -241,3 +242,159 @@ def test_trajectory_csv_compatible_shapes():
     assert traj.theta_dot.shape == (len(traj.times), 2)
     assert traj.integrator["method"] == "rk4"
     assert np.all(np.diff(traj.times) > 0)
+
+
+def _rk4_reference(g, omega, v1, v2, m1, damping, theta0, nu0, t_end, step,
+                   record_stride=1, steady_tol=None, steady_window=1.0):
+    """The five-evaluation RK4 loop that rk4_integrate must reproduce bit for bit."""
+    n = g.n
+    d2 = damping[v2]
+
+    def rhs(y):
+        theta = y[:n]
+        nu = y[n:]
+        torque = omega - divergence(g, np.sin(edge_differences(g, theta)))
+        dtheta = np.empty(n)
+        if len(v2):
+            dtheta[v2] = torque[v2] / d2
+        dtheta[v1] = nu
+        dnu = (torque[v1] - damping[v1] * nu) / m1
+        return np.concatenate([dtheta, dnu])
+
+    n_steps = max(1, int(round(t_end / step)))
+    y = np.concatenate([np.asarray(theta0, dtype=float), np.asarray(nu0, dtype=float)])
+    times, thetas, dots = [0.0], [y[:n].copy()], [rhs(y)[:n]]
+    window_steps = max(1, int(round(steady_window / step)))
+    window_max, in_window = 0.0, 0
+    for k in range(1, n_steps + 1):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * step * k1)
+        k3 = rhs(y + 0.5 * step * k2)
+        k4 = rhs(y + step * k3)
+        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        record = (k % record_stride == 0) or (k == n_steps)
+        dot = rhs(y)[:n] if record or steady_tol is not None else None
+        if record:
+            times.append(k * step)
+            thetas.append(y[:n].copy())
+            dots.append(dot)
+        if steady_tol is not None:
+            window_max = max(window_max, float(np.max(np.abs(dot))))
+            in_window += 1
+            if in_window >= window_steps:
+                if window_max <= steady_tol:
+                    if not record:
+                        times.append(k * step)
+                        thetas.append(y[:n].copy())
+                        dots.append(dot)
+                    break
+                window_max, in_window = 0.0, 0
+    return np.array(times), np.array(thetas), np.array(dots)
+
+
+def _tiled_ring(copies: int) -> WeightedGraph:
+    """copies of a 5-node graph with a chord, each tied to the next copy."""
+    edges = []
+    for c in range(copies):
+        o, nxt = 5 * c, 5 * ((c + 1) % copies)
+        edges += [(o + 1, o + 2, 2.0), (o + 2, o + 3, 1.5), (o + 3, o + 4, 2.5),
+                  (o + 4, o + 5, 1.0), (o + 1, o + 5, 3.0), (o + 2, o + 4, 0.7)]
+        edges.append((o + 3, nxt + 1, 0.5))
+    return WeightedGraph.from_edges(5 * copies, edges)
+
+
+def _rk4_cases():
+    """(graph, omega, v1, damping, m1, theta0, nu0) over the integrator's branches."""
+    cases = []
+    for seed in range(6):
+        g = random_connected_graph(60 + seed, n_min=3, n_max=9)
+        rng = substream(60 + seed, 1)
+        v1 = np.flatnonzero(rng.random(g.n) < [0.0, 0.5, 1.0][seed % 3])
+        damping = rng.uniform(0.2, 2.0, g.n)
+        if seed == 4:
+            damping[v1] = 0.0  # conservative v1 nodes: never divided by
+        cases.append((g, random_zero_mean(seed, g.n, 3.0), v1, damping,
+                      rng.uniform(0.5, 2.0, len(v1)), rng.uniform(-1.0, 1.0, g.n),
+                      rng.uniform(-0.5, 0.5, len(v1))))
+    empty = WeightedGraph.from_edges(3, [])
+    cases.append((empty, np.array([0.3, -0.1, 0.2]), np.array([1]), np.array([1.0, 0.5, 2.0]),
+                  np.array([1.5]), np.array([0.1, 0.2, 0.3]), np.array([0.4])))
+    tiled = _tiled_ring(44)
+    rng = substream(77, 1)
+    cases.append((tiled, random_zero_mean(77, tiled.n), np.array([], dtype=np.intp),
+                  rng.uniform(0.5, 1.5, tiled.n), np.array([]),
+                  rng.uniform(-0.3, 0.3, tiled.n), np.array([])))
+    return cases
+
+
+@pytest.mark.parametrize("case", _rk4_cases())
+def test_rk4_matches_reference_integrator(case):
+    g, omega, v1, damping, m1, theta0, nu0 = case
+    v1 = np.asarray(v1, dtype=np.intp)
+    v2 = np.setdiff1d(np.arange(g.n), v1).astype(np.intp)
+    # stride 11 with a steady stop between recorded samples (first random case)
+    for stride, steady_tol, t_end in ((1, None, 0.3), (7, None, 0.5), (10**9, None, 0.5),
+                                      (11, 1e-3, 40.0), (10**9, 1e-300, 0.3)):
+        args = (g, omega, v1, v2, m1, damping, theta0, nu0, t_end, 0.01)
+        kwargs = dict(record_stride=stride, steady_tol=steady_tol, steady_window=0.5)
+        got = rk4_integrate(*args, **kwargs)
+        times, theta, theta_dot = _rk4_reference(*args, **kwargs)
+        assert np.array_equal(got.times, times), (case, stride, steady_tol)
+        assert np.array_equal(got.theta, theta), (case, stride, steady_tol)
+        assert np.array_equal(got.theta_dot, theta_dot), (case, stride, steady_tol)
+
+
+def test_rk4_steady_run_reuses_recorded_derivative(monkeypatch):
+    # per step k2, k3, k4 and the steadiness check, whose derivative is the next k1
+    calls = count_calls(monkeypatch, graph, "_sine_coupling")
+    g = random_connected_graph(71)
+    v1 = np.array([0], dtype=np.intp)
+    v2 = np.arange(1, g.n, dtype=np.intp)
+    traj = rk4_integrate(g, random_zero_mean(71, g.n), v1, v2, np.ones(1), np.ones(g.n),
+                         np.zeros(g.n), np.zeros(1), t_end=0.5, step=0.01,
+                         record_stride=10**9, steady_tol=1e-300)
+    steps = round(traj.times[-1] / 0.01)
+    assert steps == 50
+    assert len(calls) == 4 * steps + 1
+
+
+@pytest.mark.parametrize("bad", [{"step": 0.0}, {"step": -0.01}, {"step": math.nan},
+                                 {"step": math.inf}, {"t_end": -1.0}, {"t_end": 0.0},
+                                 {"t_end": math.nan}, {"t_end": math.inf},
+                                 {"record_stride": 0}, {"record_stride": 2.5}])
+def test_step_contract(bad):
+    name = next(iter(bad))
+    kwargs = {"t_end": 1.0, "step": 0.01, "record_stride": 1, **bad}
+    net = OscillatorNetwork.first_order(TWO_NODE, [1.0, -1.0])
+    with pytest.raises(InvalidSpecError, match=name):
+        simulate(net, [0.0, 0.0], **kwargs)
+    with pytest.raises(InvalidSpecError, match=name):
+        rk4_integrate(TWO_NODE, net.omega, np.array([], dtype=np.intp), np.arange(2),
+                      np.array([]), np.ones(2), np.zeros(2), np.array([]), **kwargs)
+
+
+@pytest.mark.parametrize("bad", ["theta0", "theta_dot0"])
+def test_simulate_rejects_non_finite_state(bad):
+    net = OscillatorNetwork(graph=TWO_NODE, omega=np.array([1.0, -1.0]),
+                            second_order=frozenset({2}), M=np.ones(2), D=np.ones(2))
+    args = {"theta0": np.zeros(2), "theta_dot0": np.zeros(1)}
+    args[bad][-1] = math.nan if bad == "theta0" else math.inf
+    with pytest.raises(NonFiniteInputError, match=bad):
+        simulate(net, t_end=0.1, step=0.01, **args)
+
+
+@pytest.mark.parametrize("bad", ["omega", "M", "D"])
+def test_network_rejects_non_finite_parameters(bad):
+    args = {"omega": np.zeros(2), "M": np.ones(2), "D": np.ones(2)}
+    args[bad][1] = math.nan
+    with pytest.raises(NonFiniteInputError, match=bad):
+        OscillatorNetwork(graph=TWO_NODE, second_order=frozenset({2}), **args)
+
+
+def test_node_index_arrays_are_cached():
+    g = random_connected_graph(73, n_min=6, n_max=6)
+    net = OscillatorNetwork(graph=g, omega=np.zeros(6), second_order=frozenset({2, 5}),
+                            M=np.ones(6), D=np.ones(6))
+    assert net.v1_indices.tolist() == [1, 4]
+    assert net.v2_indices.tolist() == [0, 2, 3, 5]
+    assert net.v2_indices is net.v2_indices and net.v1_indices is net.v1_indices

@@ -15,6 +15,7 @@ from syncgrid.errors import (
 )
 from syncgrid.graph import (
     WeightedGraph,
+    _sine_coupling,
     build_laplacian,
     connectivity_metrics,
     cycle_basis,
@@ -103,6 +104,10 @@ def test_node_operators_equal_dense_incidence_products(seed):
     assert np.allclose(g.laplacian(), b @ np.diag(g.weights) @ b.T, rtol=0, atol=1e-12)
     assert np.allclose(g.weighted_degrees(), np.abs(b) @ g.weights, rtol=0, atol=1e-12)
     assert np.allclose(divergence(g, psi), b @ (g.weights * psi), rtol=0, atol=1e-12)
+    theta = rng.uniform(-3.0, 3.0, g.n)
+    coupling = _sine_coupling(g, theta)
+    assert np.array_equal(coupling, divergence(g, np.sin(edge_differences(g, theta))))
+    assert np.allclose(coupling, b @ (g.weights * np.sin(b.T @ theta)), rtol=0, atol=1e-12)
 
 
 def test_edge_norm_dimension_mismatch():

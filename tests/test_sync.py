@@ -17,7 +17,14 @@ from syncgrid.errors import (
     PsiOutOfRangeError,
     SyncgridError,
 )
-from syncgrid.graph import WeightedGraph, build_laplacian, cycle_basis, divergence, edge_differences
+from syncgrid.graph import (
+    WeightedGraph,
+    _sine_coupling,
+    build_laplacian,
+    cycle_basis,
+    divergence,
+    edge_differences,
+)
 from syncgrid.rng import substream
 from syncgrid.sync import (
     Infeasible,
@@ -48,6 +55,7 @@ def test_one_node_graph_has_zero_margin():
     g = WeightedGraph.from_edges(1, [])
     assert sync_margin(g, [0.0]).margin == 0.0
     assert divergence(g, []).dtype == np.float64
+    assert _sine_coupling(g, np.zeros(1)).dtype == np.float64
     try:
         sol = solve_equilibrium(g, [0.0])
     except SyncgridError:
