@@ -43,13 +43,12 @@ from .errors import (
     NoSyncInBracketError,
     SingularJacobianError,
 )
-from .graph import WeightedGraph, _sine_coupling, edge_differences, require_connected, solve_poisson
+from .graph import WeightedGraph, _sine_coupling, edge_differences, require_connected
 from .rng import substream
-from .sync import sync_margin
+from .sync import _check_gamma, min_infinity_norm_solution, sync_margin
 
 DEFAULT_STEP = 1e-3
 DEFAULT_T_END = 100.0
-STEADY_STATE_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,8 +170,11 @@ def rk4_integrate(
     Damping may be zero on v1 nodes (conservative test configurations).
     Only the step contract is checked: step and t_end finite and positive,
     record_stride an integer of at least 1 (InvalidSpecError otherwise).
-    When steady_tol is set, integration stops once ||theta_dot||_inf stayed
-    below it throughout a full window of steady_window time units.
+    A run takes max(1, round(t_end / step)) steps of exactly step, so its
+    last time is a whole multiple of step and can fall short of or beyond
+    t_end (t_end=0.015, step=0.01 ends at 0.02).  When steady_tol is set,
+    integration stops once ||theta_dot||_inf stayed below it throughout a
+    full window of steady_window time units.
     """
     _check_steps(t_end, step, record_stride)
     n = g.n
@@ -258,7 +260,9 @@ def simulate(
     theta_dot0 applies to second-order nodes only (ordered by node id) and
     defaults to rest.  Raises NonFiniteInputError when either holds nan or
     inf, and InvalidSpecError when step or t_end is not finite and
-    positive or record_stride is not an integer of at least 1.
+    positive or record_stride is not an integer of at least 1.  The run
+    takes max(1, round(t_end / step)) steps, as rk4_integrate does, so the
+    last sample time can differ from t_end.
     """
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.shape != (net.graph.n,):
@@ -364,34 +368,6 @@ def _try_newton_cohesive(g: WeightedGraph, omega, gamma: float, seeds) -> np.nda
     return None
 
 
-def _simulate_to_equilibrium(g: WeightedGraph, omega, gamma: float, k_scale: float) -> np.ndarray | None:
-    """First-order relaxation fallback; aborts early when the frequency
-    spread stops contracting (incoherent drift)."""
-    max_deg = float(np.max(g.weighted_degrees()))
-    step = min(0.05, 1.0 / max(max_deg, 1e-9))
-    theta = solve_poisson(g, omega)
-    v1 = np.array([], dtype=np.intp)
-    v2 = np.arange(g.n, dtype=np.intp)
-    damping = np.ones(g.n)
-    prev_spread = math.inf
-    for _ in range(12):
-        traj = rk4_integrate(
-            g, omega, v1, v2, np.array([]), damping, theta, np.array([]),
-            t_end=5.0, step=step, record_stride=10 ** 9,
-            steady_tol=STEADY_STATE_TOL * max(1.0, float(np.max(np.abs(omega)))),
-        )
-        theta = traj.final_theta
-        dot = traj.final_theta_dot
-        spread = float(np.max(np.abs(dot - dot.mean())))
-        if spread <= STEADY_STATE_TOL * max(1.0, float(np.max(np.abs(omega)))):
-            refined = _try_newton_cohesive(g, omega, gamma, [theta])
-            return refined
-        if spread > 0.9 * prev_spread:
-            return None
-        prev_spread = spread
-    return None
-
-
 def critical_coupling_search(
     g: WeightedGraph,
     omega,
@@ -401,13 +377,30 @@ def critical_coupling_search(
 ) -> KCriticalResult:
     """Bisection for the smallest gain K with a gamma-cohesive steady state.
 
-    The graph must be unit weighted (gain-parametrized coupling K * a_ij).
-    For each K the cohesive equilibrium is sought by Newton continuation
-    from the previous solution, then from the linear seed and random
-    restarts, then by relaxing the first-order dynamics.  The upper bracket
-    starts at the margin normalizer ||Ldag omega||_{E,inf} and doubles up to
-    2^10 times if needed.
+    The graph must be unit weighted (gain-parametrized coupling K * a_ij);
+    gamma must lie in [0, pi/2] (GammaOutOfRangeError otherwise).  Each K
+    is decided by the paper's necessary certificate, then by Newton.
+
+    The certificate: at gain K the minimum-infinity-norm flow is
+    floor / K, with floor = min_infinity_norm_solution(g, omega).norm
+    computed once per search.  An equilibrium that Newton accepts has
+    residual at most 1e-10 and cohesiveness at most gamma + 1e-9, so its
+    edge flows sin(theta_i - theta_j), each at most
+    s = sin(min(gamma + 1e-9, pi/2)) in size, carry omega at gain K up to
+    a zero-sum residual that a unit-weight flow of norm at most
+    n * 1e-10 / 2 carries (cut bound).  Hence floor <= K s + n * 1e-10 / 2
+    wherever Newton succeeds, and a K with
+    K s + n * 1e-10 < floor * (1 - 1e-6), the 1e-6 covering the LP's
+    tolerance, is rejected without a Newton solve.
+
+    Above the floor the cohesive equilibrium is sought by Newton
+    continuation from the previous solution, then from the linear seed and
+    5 random restarts.  The restarts are drawn for skipped K as well, so
+    the seed stream and the visited K do not depend on the skip.  The
+    upper bracket starts at the margin normalizer ||Ldag omega||_{E,inf}
+    and doubles up to 2^10 times if needed (NoSyncInBracketError beyond).
     """
+    gamma = _check_gamma(gamma)
     if not np.allclose(g.weights, 1.0):
         raise ValueError("critical coupling search expects a unit-weight graph")
     require_connected(g)
@@ -417,20 +410,20 @@ def critical_coupling_search(
     if normalizer < 1e-14:
         return KCriticalResult(k_min=0.0, margin_normalizer=normalizer, ratio=1.0, theta=np.zeros(g.n))
 
+    floor = min_infinity_norm_solution(g, omega).norm
+    sin_gamma = math.sin(min(gamma + 1e-9, math.pi / 2))
     rng = substream(seed, 0)
     best_theta: np.ndarray | None = None
 
     def exists(k: float) -> np.ndarray | None:
-        gk = g.scaled(k)
         seeds = []
         if best_theta is not None:
             seeds.append(best_theta)
         seeds.append(None)  # linear seed inside solve_equilibrium
         seeds.extend(rng.uniform(-gamma / 2, gamma / 2, size=g.n) for _ in range(5))
-        theta = _try_newton_cohesive(gk, omega, gamma, seeds)
-        if theta is None:
-            theta = _simulate_to_equilibrium(gk, omega, gamma, k)
-        return theta
+        if k * sin_gamma + g.n * 1e-10 < floor * (1.0 - 1e-6):
+            return None
+        return _try_newton_cohesive(g.scaled(k), omega, gamma, seeds)
 
     k_hi = normalizer
     theta = exists(k_hi)

@@ -20,9 +20,3 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
     return np.random.Generator(np.random.Philox(ss))
 
-
-def as_generator(seed_or_rng: int | np.random.Generator) -> np.random.Generator:
-    """Accept either a raw integer seed or an existing generator."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return substream(int(seed_or_rng))

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import count_calls, random_connected_graph, random_zero_mean
-from syncgrid import graph
+from conftest import count_calls, cycle_graph, random_connected_graph, random_zero_mean
+from syncgrid import dynamics, equilibrium, graph, randnet
 from syncgrid.dynamics import (
     KCriticalResult,
     OscillatorNetwork,
+    _try_newton_cohesive,
     critical_coupling_search,
     detect_sync,
     energy,
@@ -20,10 +21,16 @@ from syncgrid.dynamics import (
     simulate,
 )
 from syncgrid.equilibrium import fixed_point_residual, wrap_angles
-from syncgrid.errors import InvalidSpecError, NonFiniteInputError, NonFiniteStateError
+from syncgrid.errors import (
+    GammaOutOfRangeError,
+    InvalidSpecError,
+    NonFiniteInputError,
+    NonFiniteStateError,
+    NoSyncInBracketError,
+)
 from syncgrid.graph import WeightedGraph, divergence, edge_differences
 from syncgrid.rng import substream
-from syncgrid.sync import sync_margin
+from syncgrid.sync import MinNormSolution, min_infinity_norm_solution, sync_margin
 
 TWO_NODE = WeightedGraph.from_edges(2, [(1, 2, 2.0)])
 
@@ -233,6 +240,94 @@ def test_kcritical_monotone_sync_time():
         assert det.t_sync is not None
         times.append(det.t_sync)
     assert times[1] > times[0]
+
+
+@pytest.mark.parametrize("gamma", [-0.1, 2.0, math.nan])
+def test_kcritical_rejects_gamma_out_of_range(gamma):
+    with pytest.raises(GammaOutOfRangeError):
+        critical_coupling_search(cycle_graph(4), [1.0, -0.5, 0.25, -0.75], gamma=gamma)
+
+
+def test_kcritical_zero_gamma_is_decided_by_the_certificate(monkeypatch):
+    # no flow of norm sin(1e-9) carries these frequencies up to K = 2^10 margin
+    calls = count_calls(monkeypatch, equilibrium, "solve_equilibrium")
+    with pytest.raises(NoSyncInBracketError):
+        critical_coupling_search(cycle_graph(5), random_zero_mean(5, 5), gamma=0.0)
+    assert calls == []
+
+
+def _kcritical_cells():
+    """(n, model, p, distribution) covering the criterion-11 grid's families."""
+    cells = [(n, model, p, dist) for n in (10, 20) for model, p in (("erg", 0.2), ("smn", 0.1))
+             for dist in ("bipolar", "uniform")]
+    return cells + [(10, model, p, dist) for model, p in (("erg", 0.8), ("smn", 0.5))
+                    for dist in ("bipolar", "uniform")]
+
+
+def test_kcritical_floor_skip_changes_nothing(monkeypatch):
+    # a zero floor turns the skip off; the search must visit the same K and end
+    # on the same bits, with fewer Newton solves where the floor decides
+    cases = []
+    for i, (n, model, p, dist) in enumerate(_kcritical_cells()):
+        spec = randnet.NominalNetworkSpec(n=n, model=model, p=p, distribution=dist,
+                                          weighted=False, seed=900 + i)
+        omega = randnet.sample_frequencies(n, dist, substream(900 + i, 0, 2))
+        cases.append((randnet.generate_graph(spec), omega, 900 + i))
+
+    calls = count_calls(monkeypatch, equilibrium, "solve_equilibrium")
+    streams = []
+
+    def recorded_substream(*key):
+        streams.append(substream(*key))
+        return streams[-1]
+
+    monkeypatch.setattr(dynamics, "substream", recorded_substream)
+
+    def searches():
+        out = []
+        for g, omega, seed in cases:
+            before = len(calls)
+            result = critical_coupling_search(g, omega, seed=seed)
+            # the next draw tells whether a skipped K drew its 5 restarts
+            out.append((result, len(calls) - before, streams[-1].random()))
+        return out
+
+    skipped = searches()
+    monkeypatch.setattr(dynamics, "min_infinity_norm_solution",
+                        lambda g, omega: MinNormSolution(psi_star=np.zeros(g.m), norm=0.0))
+    unskipped = searches()
+    for (got, solves, draw), (want, all_solves, all_draw) in zip(skipped, unskipped):
+        assert got.k_min == want.k_min
+        assert np.array_equal(got.theta, want.theta)
+        assert draw == all_draw
+        assert solves <= all_solves
+    assert any(got[1] < want[1] for got, want in zip(skipped, unskipped))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_newton_finds_nothing_below_the_floor(seed):
+    g = random_connected_graph(2000 + seed, weighted=False)
+    omega = random_zero_mean(2000 + seed, g.n)
+    rng = substream(2000 + seed, 1)
+    floor = min_infinity_norm_solution(g, omega).norm
+    gamma = math.pi / 2
+    for u in rng.uniform(0.3, 0.999, 3):
+        seeds = [None] + [rng.uniform(-gamma / 2, gamma / 2, g.n) for _ in range(5)]
+        assert _try_newton_cohesive(g.scaled(floor * u), omega, gamma, seeds) is None
+
+
+def test_kcritical_runs_no_simulation(monkeypatch):
+    calls = count_calls(monkeypatch, dynamics, "rk4_integrate")
+    g = random_connected_graph(2100, n_min=8, weighted=False)
+    result = critical_coupling_search(g, random_zero_mean(2100, g.n))
+    assert result.theta is not None
+    assert calls == []
+
+
+def test_rk4_step_count_rounds_t_end_to_whole_steps():
+    net = OscillatorNetwork.first_order(TWO_NODE, [1.0, -1.0])
+    assert simulate(net, [0.0, 0.0], t_end=0.001, step=0.01).times.tolist() == [0.0, 0.01]
+    assert simulate(net, [0.0, 0.0], t_end=0.015, step=0.01).times[-1] == 0.02
 
 
 def test_trajectory_csv_compatible_shapes():
