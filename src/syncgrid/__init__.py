@@ -17,7 +17,6 @@ from .sync import (
     NecessaryCheck,
     SyncAssessment,
     acyclic_equilibrium,
-    auxiliary_solution_space,
     cycle_sufficient_bound,
     min_infinity_norm_solution,
     necessary_conditions,

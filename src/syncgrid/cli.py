@@ -57,6 +57,7 @@ def _cmd_analyze(args) -> int:
     check = sync.necessary_conditions(g, assessment.omega, gamma)
     payload = {
         "margin": assessment.margin,
+        "min_norm": sync.min_infinity_norm_solution(g, omega).norm,
         "gamma_pred": assessment.gamma_pred if assessment.gamma_pred is not None else "infeasible",
         "gamma": gamma,
         "condition_holds": assessment.condition_holds(gamma),

@@ -39,10 +39,6 @@ class GammaOutOfRangeError(SyncgridError):
     """Cohesiveness angle outside [0, pi/2]."""
 
 
-class PsiOutOfRangeError(SyncgridError):
-    """Edge variable has |psi_e| > 1, arcsin undefined."""
-
-
 # --- solvers ---
 
 class NoConvergenceError(SyncgridError):

@@ -10,34 +10,34 @@ whenever the margin is at most sin(gamma); the condition is exact on trees,
 on uniformly weighted complete graphs, for cut-set inducing frequencies,
 asymptotically for weak heterogeneity, and for short or symmetric cycles.
 
-The module also evaluates the necessary degree conditions, the auxiliary
-edge-variable solution space psi = psi_pt + ker-space shifts, the exact
-single-cycle feasibility test, and the minimum-infinity-norm certificate
-whose failure rules out cohesive equilibria altogether.
+The module also evaluates the necessary degree conditions, the exact
+single-cycle feasibility test, and the minimum-infinity-norm certificate:
+the smallest ||psi||_inf over all flows with B diag(a) psi = omega, one
+sparse LP on the edge flows, whose excess over sin(gamma) rules out
+cohesive equilibria altogether.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .equilibrium import EquilibriumSolution, _stable_by_factor, fixed_point_residual, phase_cohesiveness
 from .errors import (
+    DimensionMismatchError,
     GammaOutOfRangeError,
     NonZeroMeanFrequenciesError,
     NotACycleError,
     NotAcyclicError,
-    PsiOutOfRangeError,
 )
 from .graph import (
-    CycleBasis,
     LaplacianBundle,
     WeightedGraph,
     cycle_basis,
-    divergence,
     edge_differences,
     is_single_cycle,
     is_tree,
@@ -135,21 +135,21 @@ def necessary_conditions(g: WeightedGraph, omega, gamma: float, tol: float = 1e-
     """
     gamma = _check_gamma(gamma)
     omega = recenter_frequencies(omega)
+    if omega.shape != (g.n,):
+        raise DimensionMismatchError(f"expected length-{g.n} vector, got {omega.shape}")
     sin_g = math.sin(gamma)
     deg = g.weighted_degrees()
     scale = max(1.0, float(np.max(deg)) if deg.size else 1.0)
     slack = tol * scale
-
-    abs_bad = [i + 1 for i in range(g.n) if deg[i] * sin_g < abs(omega[i]) - slack]
-    inc_bad = []
-    for k, (i, j, _) in enumerate(g.edges):
-        if (deg[i - 1] + deg[j - 1]) * sin_g < abs(omega[i - 1] - omega[j - 1]) - slack:
-            inc_bad.append((i, j))
+    src, snk = g.sources, g.sinks
+    abs_bad = np.flatnonzero(deg * sin_g < np.abs(omega) - slack) + 1
+    inc = (deg[src] + deg[snk]) * sin_g < np.abs(omega[src] - omega[snk]) - slack
+    inc_bad = tuple(zip((src[inc] + 1).tolist(), (snk[inc] + 1).tolist()))
     return NecessaryCheck(
-        absolute_ok=not abs_bad,
+        absolute_ok=not abs_bad.size,
         incremental_ok=not inc_bad,
-        violating_nodes=tuple(abs_bad),
-        violating_edges=tuple(inc_bad),
+        violating_nodes=tuple(abs_bad.tolist()),
+        violating_edges=inc_bad,
     )
 
 
@@ -292,43 +292,6 @@ def cycle_sufficient_bound(g: WeightedGraph, omega, gamma: float) -> bool:
 
 
 @dataclass(frozen=True)
-class AuxiliarySpace:
-    """Solution space of the auxiliary edge-variable equations.
-
-    Every solution of omega = B diag(a) psi takes the form
-    psi_particular + diag(1/a) * (cycle-space vector); psi corresponds to an
-    actual equilibrium iff additionally arcsin(psi) has zero circulation
-    around every basis cycle.
-    """
-
-    psi_particular: np.ndarray
-    basis: CycleBasis
-    graph: WeightedGraph = field(repr=False)
-
-    def cycle_residuals(self, psi) -> np.ndarray:
-        """Circulation c^T arcsin(psi) for each basis vector c."""
-        psi = np.asarray(psi, dtype=float)
-        if np.max(np.abs(psi), initial=0.0) > 1.0 + 1e-12:
-            raise PsiOutOfRangeError(f"|psi|_inf = {np.max(np.abs(psi)):.6g} exceeds 1")
-        angles = np.arcsin(np.clip(psi, -1.0, 1.0))
-        if self.basis.rank == 0:
-            return np.zeros(0)
-        return self.basis.vectors @ angles
-
-
-def auxiliary_solution_space(g: WeightedGraph, omega) -> AuxiliarySpace:
-    """Particular solution B^T Ldag omega plus the cycle-space freedom."""
-    require_connected(g)
-    assessment = sync_margin(g, omega)
-    basis = cycle_basis(g)
-    defect = float(np.max(np.abs(divergence(g, assessment.psi_particular) - assessment.omega)))
-    scale = max(1.0, float(np.max(np.abs(assessment.omega))))
-    if defect > 1e-9 * scale:
-        raise AssertionError(f"particular solution defect {defect:.3e}")
-    return AuxiliarySpace(psi_particular=assessment.psi_particular, basis=basis, graph=g)
-
-
-@dataclass(frozen=True)
 class MinNormSolution:
     """Minimum-infinity-norm flow certificate.
 
@@ -343,33 +306,41 @@ class MinNormSolution:
 def min_infinity_norm_solution(g: WeightedGraph, omega) -> MinNormSolution:
     """Solve min ||psi||_inf subject to B diag(a) psi = omega.
 
-    Parametrized over the cycle space, psi = psi_pt + diag(1/a) C^T mu, the
-    problem is an unconstrained Chebyshev minimization, solved as an
-    epigraph LP.  On trees the solution is unique and equals psi_pt.
+    Posed as one sparse LP on the edge flows psi and a bound t: minimise t
+    subject to the grounded rows 2..n of B diag(a) psi = omega (+a_e at the
+    sink, -a_e at the source; row 1 follows, as both sides sum to zero) and
+    +-psi_e - t <= 0.  On graphs with cycles the minimising flow psi_star
+    is in general not unique; its norm is.  On trees (m = n - 1) the flow
+    is unique, and psi_star is sync_margin's psi_particular as it is.
+
+    Raises DisconnectedGraphError, DimensionMismatchError for an omega of
+    the wrong length and NonZeroMeanFrequenciesError for a non-finite one.
     """
-    space = auxiliary_solution_space(g, omega)
-    psi_pt = space.psi_particular
-    rank = space.basis.rank
-    if rank == 0 or g.m == 0:
-        psi_star = psi_pt.copy()
-    else:
-        h_mat = (space.basis.vectors / g.weights).T  # (m, rank)
-        a_ub = np.block([
-            [h_mat, -np.ones((g.m, 1))],
-            [-h_mat, -np.ones((g.m, 1))],
-        ])
-        b_ub = np.concatenate([-psi_pt, psi_pt])
-        cost = np.zeros(rank + 1)
-        cost[-1] = 1.0
-        lower = np.full(rank + 1, -np.inf)
-        lower[-1] = 0.0
-        # milp with no integrality is the same HiGHS LP as linprog's, with
-        # less input processing around the solve
-        result = milp(cost, constraints=LinearConstraint(a_ub, -np.inf, b_ub),
-                      bounds=Bounds(lower, np.inf))
-        if not result.success:
-            raise RuntimeError(f"min-norm LP failed: {result.message}")
-        mu = result.x[:rank]
-        psi_star = psi_pt + h_mat @ mu
-    norm = float(np.max(np.abs(psi_star))) if g.m else 0.0
-    return MinNormSolution(psi_star=psi_star, norm=norm)
+    require_connected(g)
+    if g.m == g.n - 1:
+        psi_star = sync_margin(g, omega).psi_particular
+        return MinNormSolution(psi_star=psi_star, norm=float(np.max(np.abs(psi_star), initial=0.0)))
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != (g.n,):
+        raise DimensionMismatchError(f"expected length-{g.n} vector, got {omega.shape}")
+    omega = recenter_frequencies(omega)
+    n, m, a = g.n, g.m, g.weights
+    edge = np.arange(m)
+    keep = g.sources > 0  # node 1's row is grounded away; sinks are never node 1
+    bound_rows = n - 1 + np.arange(2 * m)
+    rows = np.concatenate([g.sinks - 1, g.sources[keep] - 1, bound_rows, bound_rows])
+    cols = np.concatenate([edge, edge[keep], edge, edge, np.full(2 * m, m)])
+    data = np.concatenate([a, -a[keep], np.ones(m), -np.ones(m), np.full(2 * m, -1.0)])
+    a_mat = sparse.csc_array((data, (rows, cols)), shape=(n - 1 + 2 * m, m + 1))
+    lower = np.concatenate([omega[1:], np.full(2 * m, -np.inf)])
+    upper = np.concatenate([omega[1:], np.zeros(2 * m)])
+    cost = np.zeros(m + 1)
+    cost[m] = 1.0
+    var_lower = np.full(m + 1, -np.inf)
+    var_lower[m] = 0.0
+    result = milp(cost, constraints=LinearConstraint(a_mat, lower, upper),
+                  bounds=Bounds(var_lower, np.inf))
+    if not result.success:
+        raise RuntimeError(f"min-norm LP failed: {result.message}")
+    psi_star = result.x[:m]
+    return MinNormSolution(psi_star=psi_star, norm=float(np.max(np.abs(psi_star))))

@@ -51,6 +51,7 @@ def test_analyze(graph_file, omega_file, tmp_path):
                  "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["margin"] == pytest.approx(1 / 3, rel=1e-9)
+    assert report["min_norm"] <= report["margin"]
     assert report["condition_holds"] is True
     assert len(report["psi"]) == 3
     assert report["necessary_absolute_ok"] is True

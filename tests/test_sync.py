@@ -1,4 +1,4 @@
-"""Synchronization condition, exact solvers, auxiliary space, min-norm."""
+"""Synchronization condition, exact solvers, cycle constraints, min-norm."""
 
 import math
 
@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import cycle_graph, random_connected_graph, random_tree, random_zero_mean
+from conftest import count_calls, cycle_graph, random_connected_graph, random_tree, random_zero_mean
+from syncgrid import graph
 from syncgrid.equilibrium import fixed_point_residual, solve_equilibrium
 from syncgrid.errors import (
+    DimensionMismatchError,
+    DisconnectedGraphError,
     GammaOutOfRangeError,
+    NonZeroMeanFrequenciesError,
     NotACycleError,
     NotAcyclicError,
-    PsiOutOfRangeError,
     SyncgridError,
 )
 from syncgrid.graph import (
@@ -25,11 +28,12 @@ from syncgrid.graph import (
     divergence,
     edge_differences,
 )
+from syncgrid.powerflow import build_oscillator_model, bundled_case
 from syncgrid.rng import substream
 from syncgrid.sync import (
     Infeasible,
+    NecessaryCheck,
     acyclic_equilibrium,
-    auxiliary_solution_space,
     cycle_sufficient_bound,
     min_infinity_norm_solution,
     necessary_conditions,
@@ -154,6 +158,12 @@ def test_necessary_zero_frequencies():
     assert check.violating_nodes == () and check.violating_edges == ()
 
 
+def test_necessary_rejects_wrong_length():
+    for omega in (np.zeros(2), np.zeros(4)):
+        with pytest.raises(DimensionMismatchError):
+            necessary_conditions(K3, omega, 0.3)
+
+
 def test_necessary_star_violation():
     gamma = 0.5
     star = WeightedGraph.from_edges(4, [(1, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0)])
@@ -163,6 +173,29 @@ def test_necessary_star_violation():
     check = necessary_conditions(star, omega, gamma)
     assert not check.absolute_ok
     assert 1 in check.violating_nodes
+    assert check == _necessary_by_definition(star, omega, gamma)
+    violations = 0
+    for seed in range(20):
+        g = random_connected_graph(seed, n_max=16)
+        omega = random_zero_mean(seed, g.n, scale=4.0)
+        gamma = substream(seed, 3).uniform(0.05, math.pi / 2)
+        check = necessary_conditions(g, omega, gamma)
+        assert check == _necessary_by_definition(g, omega, gamma)
+        violations += len(check.violating_nodes) + len(check.violating_edges)
+    assert violations > 0
+
+
+def _necessary_by_definition(g: WeightedGraph, omega, gamma: float, tol: float = 1e-9):
+    """necessary_conditions node by node and edge by edge (1-based, in edge order)."""
+    omega = np.asarray(omega, dtype=float) - np.mean(omega)
+    deg = g.weighted_degrees()
+    slack = tol * max(1.0, float(np.max(deg)))
+    sin_g = math.sin(gamma)
+    nodes = tuple(i + 1 for i in range(g.n) if deg[i] * sin_g < abs(omega[i]) - slack)
+    edges = tuple((i, j) for i, j, _ in g.edges
+                  if (deg[i - 1] + deg[j - 1]) * sin_g < abs(omega[i - 1] - omega[j - 1]) - slack)
+    return NecessaryCheck(absolute_ok=not nodes, incremental_ok=not edges,
+                          violating_nodes=nodes, violating_edges=edges)
 
 
 def test_necessary_boundary_equality_is_ok():
@@ -254,7 +287,7 @@ def test_cycle_root_satisfies_cycle_constraint():
     result = single_cycle_feasibility(g, omega, math.pi / 2)
     assert result.feasible
     psi = np.sin(edge_differences(g, result.theta.theta))
-    residuals = auxiliary_solution_space(g, omega).cycle_residuals(psi)
+    residuals = cycle_basis(g).vectors @ np.arcsin(psi)
     assert np.max(np.abs(residuals)) <= 1e-10  # bisection root accuracy
     assert result.theta.residual <= 1e-9
 
@@ -291,21 +324,14 @@ def test_cycle_sufficient_bound_implies_feasible():
         assert single_cycle_feasibility(g, omega, gamma).feasible
 
 
-# --- auxiliary solution space ---
-
-def test_auxiliary_tree_has_no_residuals():
-    t = random_tree(9)
-    omega = random_zero_mean(13, t.n)
-    space = auxiliary_solution_space(t, omega)
-    assert space.basis.rank == 0
-    assert space.cycle_residuals(np.zeros(t.m)).shape == (0,)
-
+# --- cycle constraints of the auxiliary flows ---
 
 def test_auxiliary_particular_solution_feasible():
+    # sync_margin's psi_particular balances the flows: B diag(a) psi = omega
     g = random_connected_graph(31)
     omega = random_zero_mean(32, g.n)
-    space = auxiliary_solution_space(g, omega)
-    defect = divergence(g, space.psi_particular) - (omega - omega.mean())
+    psi = sync_margin(g, omega).psi_particular
+    defect = divergence(g, psi) - (omega - omega.mean())
     assert np.max(np.abs(defect)) <= 1e-9
 
 
@@ -313,8 +339,7 @@ def test_auxiliary_symmetric_cycle_zero_residual():
     g = cycle_graph(6)
     omega_nodes = np.array([0.25, -0.25, 0.25, -0.25, 0.25, -0.25])
     omega = g.laplacian() @ omega_nodes
-    space = auxiliary_solution_space(g, omega)
-    res = space.cycle_residuals(space.psi_particular)
+    res = cycle_basis(g).vectors @ np.arcsin(sync_margin(g, omega).psi_particular)
     assert np.max(np.abs(res)) <= 1e-12
 
 
@@ -325,23 +350,16 @@ def test_auxiliary_counterexample_residual_nonzero():
     n, alpha = 10, 0.9
     g = cycle_graph(n)
     omega = alpha * np.concatenate([[1 + 1 / (n - 3), 0, -2, 1 - 1 / (n - 3)], np.zeros(n - 4)])
-    space = auxiliary_solution_space(g, omega)
-    res = space.cycle_residuals(space.psi_particular)
-    c = cycle_basis(g).vectors[0]
-    x_aligned = c * space.psi_particular
+    psi_pt = sync_margin(g, omega).psi_particular
+    vectors = cycle_basis(g).vectors
+    res = vectors @ np.arcsin(psi_pt)
+    x_aligned = vectors[0] * psi_pt
     oracle = float(np.sum(np.arcsin(x_aligned)))
     expected = -math.asin(alpha) + (n - 3) * math.asin(alpha / (n - 3))
     assert oracle == pytest.approx(expected, abs=1e-9)
     assert res[0] == pytest.approx(oracle, abs=1e-12)
     assert abs(res[0]) > 1e-3
     assert res[0] < 0.0
-
-
-def test_auxiliary_psi_out_of_range():
-    g = cycle_graph(4)
-    space = auxiliary_solution_space(g, np.zeros(4))
-    with pytest.raises(PsiOutOfRangeError):
-        space.cycle_residuals(np.array([0.0, 1.5, 0.0, 0.0]))
 
 
 # --- minimum infinity norm ---
@@ -398,32 +416,80 @@ def test_min_norm_certifies_nonexistence():
 
 
 def _linprog_min_norm(g: WeightedGraph, omega) -> float:
-    """The epigraph LP of min_infinity_norm_solution, solved through linprog."""
-    space = auxiliary_solution_space(g, omega)
-    rank = space.basis.rank
-    h_mat = (space.basis.vectors / g.weights).T
+    """min ||psi||_inf over the cycle space, psi = psi_pt + diag(1/a) C^T mu,
+    as a dense epigraph LP solved through linprog."""
+    psi_pt = sync_margin(g, omega).psi_particular
+    basis = cycle_basis(g)
+    h_mat = (basis.vectors / g.weights).T
     ones = np.ones((g.m, 1))
-    cost = np.zeros(rank + 1)
+    cost = np.zeros(basis.rank + 1)
     cost[-1] = 1.0
     result = linprog(cost, A_ub=np.block([[h_mat, -ones], [-h_mat, -ones]]),
-                     b_ub=np.concatenate([-space.psi_particular, space.psi_particular]),
-                     bounds=[(None, None)] * rank + [(0.0, None)], method="highs")
+                     b_ub=np.concatenate([-psi_pt, psi_pt]),
+                     bounds=[(None, None)] * basis.rank + [(0.0, None)], method="highs")
     assert result.success
-    return float(np.max(np.abs(space.psi_particular + h_mat @ result.x[:rank])))
+    return float(np.max(np.abs(psi_pt + h_mat @ result.x[:basis.rank])))
 
 
-def test_min_norm_milp_matches_linprog():
-    # milp solves the same HiGHS LP as linprog: same optimum, feasible flows
+def _tiled_rts96(copies: int):
+    """copies of the rts96 model in a ring, each tied to the next by three
+    lines (the large_grid benchmark's topology); returns the graph and omega."""
+    net = build_oscillator_model(bundled_case("rts96"))
+    n0 = net.graph.n
+    edges = []
+    for k in range(copies):
+        off, nxt = k * n0, (k + 1) % copies * n0
+        edges += [(off + i, off + j, w) for i, j, w in net.graph.edges]
+        edges += [(off + i + 1, nxt + j + 1, 10.0) for i, j in ((60, 10), (40, 30), (70, 55))]
+    omega = np.tile(net.omega, copies) * substream(copies, 2).uniform(0.3, 0.7, copies * n0)
+    return WeightedGraph.from_edges(copies * n0, edges), omega - omega.mean()
+
+
+def _min_norm_inputs():
+    """100 random graphs with cycles, the rts96 model and 14 tiled rts96 copies."""
     checked = 0
     for seed in range(300):
         g = random_connected_graph(seed, n_min=4, n_max=16, extra_edges=4)
         if g.m < g.n:  # a tree: no LP is solved
             continue
-        omega = random_zero_mean(seed, g.n, scale=3.0)
-        result = min_infinity_norm_solution(g, omega)
-        assert abs(result.norm - _linprog_min_norm(g, omega)) <= 1e-12
-        assert np.max(np.abs(divergence(g, result.psi_star) - omega)) <= 1e-9
+        yield g, random_zero_mean(seed, g.n, scale=3.0)
         checked += 1
         if checked == 100:
             break
     assert checked == 100
+    net = build_oscillator_model(bundled_case("rts96"))
+    yield net.graph, net.omega
+    yield _tiled_rts96(14)
+
+
+def test_min_norm_milp_matches_linprog():
+    # the edge-flow LP reaches the cycle-space optimum with balanced flows
+    sizes = []
+    for g, omega in _min_norm_inputs():
+        result = min_infinity_norm_solution(g, omega)
+        assert abs(result.norm - _linprog_min_norm(g, omega)) <= 1e-12
+        assert np.max(np.abs(divergence(g, result.psi_star) - omega)) <= 1e-9
+        sizes.append(g.n)
+    assert len(sizes) == 102 and sizes[-2:] == [73, 1022]
+
+
+def test_min_norm_solves_no_poisson_system_and_builds_no_cycle_basis(monkeypatch):
+    g = random_connected_graph(5, n_min=8, n_max=12, extra_edges=5)
+    assert g.m > g.n - 1
+    bases = count_calls(monkeypatch, graph, "cycle_basis")
+    solves = count_calls(monkeypatch, graph, "solve_poisson")
+    min_infinity_norm_solution(g, random_zero_mean(5, g.n))
+    assert bases == [] and solves == []
+
+
+def test_min_norm_input_contract_on_graphs_with_cycles():
+    with pytest.raises(DimensionMismatchError):
+        min_infinity_norm_solution(K3, np.zeros(4))
+    with pytest.raises(NonZeroMeanFrequenciesError):
+        min_infinity_norm_solution(K3, np.array([np.nan, 0.0, 0.0]))
+    triangles = WeightedGraph.from_edges(6, [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0),
+                                             (4, 5, 1.0), (4, 6, 1.0), (5, 6, 1.0)])
+    triangle_and_node = WeightedGraph.from_edges(4, [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
+    for g in (triangles, triangle_and_node):  # m = n - 1 on the second, as on a tree
+        with pytest.raises(DisconnectedGraphError):
+            min_infinity_norm_solution(g, np.zeros(g.n))
