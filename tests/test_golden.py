@@ -2,7 +2,12 @@
 
 Each case runs one CLI command on a small, seed-pinned input and compares
 the SHA-256 digest of every file it writes (and of stdout where the command
-reports there) with the checked-in value.  A refactor that claims to change
+reports there) with the checked-in value.  The analyze, solve, kcritical and
+simulate cases read a 12-node graph (weighted, and with unit weights for
+kcritical), its frequencies and an oscillator network that the test writes
+first (write_inputs); its edge list is shuffled,
+partly misoriented and holds integral-float node ids, so graph loading and
+edge normalisation are covered too.  A refactor that claims to change
 no numbers must leave every digest as it is; re-pin one only together with
 a CHANGES.md entry that says which output moved and why.
 """
@@ -11,6 +16,7 @@ import hashlib
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from syncgrid.cli import main
@@ -25,7 +31,33 @@ MONTECARLO_CELLS = [
     {"n": 30, "model": "smn", "p": 0.2, "alpha": 13.0},
 ]
 
-# name -> (argv with OUT/CELLS placeholders, {output label: digest})
+# Ring 1..12 plus four chords.
+GRAPH_PAIRS = [(k, k % 12 + 1) for k in range(1, 13)] + [(1, 5), (3, 9), (6, 11), (2, 8)]
+
+
+def write_inputs(tmp_path) -> dict:
+    """Write the graph, omega and network files; return placeholder -> path."""
+    rng = np.random.default_rng(2026)
+    weights = rng.uniform(0.5, 5.0, len(GRAPH_PAIRS))
+    omega = rng.uniform(-4.0, 4.0, 12)
+    flip = rng.random(len(GRAPH_PAIRS)) < 0.5
+    edges = [[float(j), i, w] if f else [i, j, w]  # misoriented, integral-float ids
+             for (i, j), w, f in zip(GRAPH_PAIRS, weights.tolist(), flip)]
+    edges = [edges[k] for k in rng.permutation(len(edges))]
+    names = ("graph.json", "unit.json", "omega.csv", "net.json")
+    paths = {name: tmp_path / name for name in names}
+    paths["graph.json"].write_text(json.dumps({"n": 12, "edges": edges}))
+    unit = [[i, j, 1] for i, j, _ in edges]
+    paths["unit.json"].write_text(json.dumps({"n": 12, "edges": unit}))
+    paths["omega.csv"].write_text("omega\n" + "".join(f"{x!r}\n" for x in omega.tolist()))
+    net = {"graph": {"n": 12, "edges": edges}, "omega": (0.5 * omega).tolist(),
+           "second_order": [2, 7, 11], "M": 0.4, "D": 1.0}
+    paths["net.json"].write_text(json.dumps(net))
+    return {name.upper().replace(".", "_"): str(path) for name, path in paths.items()}
+
+
+# name -> (argv with OUT/CELLS and write_inputs placeholders,
+#          {output label: digest})
 GOLDEN = {
     "montecarlo": (
         ["montecarlo", "--cells", "CELLS", "--samples", "12", "--seed", "3", "--out", "OUT"],
@@ -57,6 +89,28 @@ GOLDEN = {
         {"out":
          "a5e09821a595ceff21fc97a52baea5510fec0b317a81d2f348cc6571c4dca731"},
     ),
+    "analyze": (
+        ["analyze", "--graph", "GRAPH_JSON", "--omega", "OMEGA_CSV", "--out", "OUT"],
+        {"out":
+         "0c342d17ffe17257fe6207104f15bad0feeaf86e519265ff9260926e6af9ae32"},
+    ),
+    "solve": (
+        ["solve", "--graph", "GRAPH_JSON", "--omega", "OMEGA_CSV", "--out", "OUT"],
+        {"out":
+         "c12e4b67bdfde803ceb4311ff48d56fbaefe14ac724e13c8d1103793b982ebba"},
+    ),
+    "kcritical": (
+        ["kcritical", "--graph", "UNIT_JSON", "--omega", "OMEGA_CSV", "--seed", "4",
+         "--out", "OUT"],
+        {"out":
+         "821ba1954ddd8c3216a55a039898515fd44bc1e26e748e6424d31c817d28d3fb"},
+    ),
+    "simulate": (
+        ["simulate", "--net", "NET_JSON", "--t-end", "2", "--step", "0.01",
+         "--record-stride", "10", "--out", "OUT"],
+        {"out":
+         "589a87bf3365fa2bfc1f574d5d340d3f03adb178b7187736f3627fdd8105dd55"},
+    ),
     "powerflow_ac": (
         ["powerflow", "--case", RTS96, "--mode", "ac", "--out", "OUT"],
         {"out":
@@ -75,7 +129,7 @@ def test_cli_output_digest(name, tmp_path, capsys):
     out = tmp_path / "out"
     cells = tmp_path / "cells.json"
     cells.write_text(json.dumps(MONTECARLO_CELLS))
-    substitute = {"OUT": str(out), "CELLS": str(cells)}
+    substitute = {"OUT": str(out), "CELLS": str(cells), **write_inputs(tmp_path)}
     capsys.readouterr()
     assert main([substitute.get(arg, arg) for arg in argv]) == 0
     actual = {"out": _sha256(out.read_bytes())}
