@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
 from . import dynamics, experiments, powerflow, randnet, sync
 from .equilibrium import EquilibriumSolution, solve_equilibrium
-from .errors import SyncgridError
+from .errors import InvalidSpecError, SyncgridError
 from .graph import load_graph, solve_poisson
 from .randnet import NominalNetworkSpec
 
@@ -180,9 +181,10 @@ _RAMP_PRESETS = {
 def _parse_ramp(text: str) -> powerflow.RampSpec:
     if text in _RAMP_PRESETS:
         return _RAMP_PRESETS[text]
-    load_part, _, gen_part = text.partition(":")
-    return powerflow.RampSpec(load_area=int(load_part),
-                              gen_areas=tuple(int(a) for a in gen_part.split(",")))
+    if not re.fullmatch(r"\d+:\d+(,\d+)*", text):
+        raise InvalidSpecError(f"ramp {text!r} is not a preset or LOADAREA:GENAREA[,GENAREA...]")
+    load_area, *gen_areas = (int(a) for a in re.split("[:,]", text))
+    return powerflow.RampSpec(load_area=load_area, gen_areas=tuple(gen_areas))
 
 
 def _dynamic_cross_check(case, trips, ramp, limit_loading: float | None) -> dict | None:

@@ -18,20 +18,18 @@ over edge endpoints.  The coupling B diag(a) sin(B^T theta), which the
 flow-balance residual and every RK4 right-hand side evaluate, goes through
 one private kernel, _sine_coupling: the divergence of sin(B^T theta) with
 the input checks left to its callers, bit for bit the same.  A BFS tree
-from node 1 in edge order, cached on the frozen graph, answers
-connectivity, closes the fundamental cycles and integrates edge angles
-into node angles.
+from node 1 in edge order answers connectivity, closes the fundamental
+cycles and integrates edge angles into node angles.
 
-Reweighting.  with_weights (and so scaled) keeps the parent's validated
-topology: it checks only the new weights and starts the new graph with
-every topology cache the parent has already built (edge count, index
-arrays, BFS tree, edge index) as the same objects.  sources and sinks are
-read-only, so one graph cannot change another's through them.  The two
-private bincount indexes stay writable: np.bincount copies a read-only
-input on every call, which costs the RK4 loop about 3% at n = 1022.
-Everything that depends on the weights, the weights array itself and the
-sparse Laplacian factor, belongs to the new graph alone and is rebuilt
-when first needed.
+Storage and reweighting.  A graph stores n and the edge arrays sources,
+sinks (0-based, read-only) and weights; the edges tuple is derived.  The
+index arrays and what they alone determine (BFS tree, bincount indexes)
+live in one private _Topology, whose constructor is the one vectorised
+check of an edge list; it locates and names the offending edge only after
+a check fails.  with_weights (and so scaled) checks only the new weights
+and reuses the _Topology, so reweighted graphs share their topology by
+construction.  The bincount indexes stay writable: np.bincount copies a
+read-only input on every call (about 3% of the RK4 loop at n = 1022).
 
 Grounded systems.  The Laplacian and -J have the constant vector in their
 kernel.  Grounding node 1 keeps rows and columns 2..n, a block that is
@@ -59,7 +57,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -80,19 +78,47 @@ ZERO_EIGENVALUE_RTOL = 1e-9
 # docstring).  Every golden input has at most 73 nodes and stays dense.
 SPARSE_MIN_NODES = 200
 
-# Caches that depend on n and the edge endpoints only; with_weights shares them.
-_TOPOLOGY_CACHES = ("m", "sources", "sinks", "_endpoints", "_divergence_index",
-                    "bfs_tree", "edge_index")
+
+def _edge_triples(edges) -> np.ndarray:
+    """edges, a sequence of (i, j, weight) or an (m, 3) array, as an (m, 3) float array."""
+    a = np.asarray(edges, dtype=float)
+    if a.shape[1:] != (3,) and a.size:
+        raise ValueError(f"edges must be (i, j, weight) triples, got shape {a.shape}")
+    return a.reshape(-1, 3)
 
 
-def _weight_error(i: int, j: int, w: float) -> ValueError:
-    kind = "non-positive" if w <= 0 else "non-finite"
-    return ValueError(f"edge ({i},{j}) has {kind} weight {w}")
+def _valid_edges(n: int, ij: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per edge (1-based float ids ij, rows i = source and j = sink; weights w), whether
+    it has integral ids, 1 <= i < j <= n, 0 < w < inf and a key i (n + 1) + j above
+    the previous edge's: increasing keys mean sorted edges and no duplicate."""
+    i, j = ij
+    integral = np.floor(ij) == ij
+    ok = integral[0] & integral[1] & (1 <= i) & (i < j) & (j <= n) & (w > 0) & (w < np.inf)
+    key = i * (n + 1) + j
+    ok[1:] &= key[1:] > key[:-1]
+    return ok
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def _edge_error(n: int, ij: np.ndarray, w: np.ndarray) -> ValueError:
+    """The error naming the first edge that _valid_edges rejects."""
+    k = int(np.argmin(_valid_edges(n, ij, w)))
+    a, b, wk = float(ij[0, k]), float(ij[1, k]), float(w[k])
+    if not (a.is_integer() and b.is_integer()):
+        a, b = (int(x) if x.is_integer() else x for x in (a, b))
+        return ValueError(f"edge ({a},{b}) has a non-integral node id")
+    a, b = int(a), int(b)
+    if a == b:
+        return ValueError(f"self-loop on node {a}")
+    if not (1 <= a <= n and 1 <= b <= n):
+        return ValueError(f"edge ({a},{b}) outside node range 1..{n}")
+    if a > b:
+        return ValueError(f"edge ({a},{b}) not lexicographically oriented")
+    if not 0 < wk < np.inf:
+        kind = "non-positive" if wk <= 0 else "non-finite"
+        return ValueError(f"edge ({a},{b}) has {kind} weight {wk}")
+    p, q = int(ij[0, k - 1]), int(ij[1, k - 1])
+    return ValueError(f"duplicate edge ({a},{b})" if (p, q) == (a, b)
+                      else f"edge ({a},{b}) out of order after ({p},{q})")
 
 
 class BFSTree(NamedTuple):
@@ -109,72 +135,87 @@ class BFSTree(NamedTuple):
     depth: list[int]
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Undirected weighted graph with an oriented edge list.
+class _Topology:
+    """n, the 0-based endpoints of an edge list and what they alone determine.
 
-    Node ids are 1..n.  Edges are stored sorted lexicographically as
-    (source, sink, weight) with source < sink and 0 < weight < inf.
+    The constructor is the one validation of an edge list (_valid_edges).
     """
 
-    n: int
-    edges: tuple[tuple[int, int, float], ...]
+    def __init__(self, n: int, ij: np.ndarray, w: np.ndarray):
+        if n < 1:
+            raise DegenerateGraphError(f"node count must be positive, got {n}")
+        if not _valid_edges(n, ij, w).all():
+            raise _edge_error(n, ij, w)
+        ends = ij.astype(np.intp) - 1
+        self.endpoints = ends.flatten()  # sources, then sinks: node sums bin on these
+        self.divergence_index = ends[::-1].flatten()  # sinks, then sources
+        ends.flags.writeable = False  # its rows, sources and sinks, are read-only views
+        self.n, self.m, self.sources, self.sinks = n, ends.shape[1], ends[0], ends[1]
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DegenerateGraphError(f"node count must be positive, got {self.n}")
-        seen: set[tuple[int, int]] = set()
-        for i, j, w in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop on node {i}")
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"edge ({i},{j}) outside node range 1..{self.n}")
-            if i > j:
-                raise ValueError(f"edge ({i},{j}) not lexicographically oriented")
-            if not 0 < w < np.inf:
-                raise _weight_error(i, j, w)
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
-            seen.add((i, j))
+    @cached_property
+    def bfs_tree(self) -> BFSTree:
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for k, (i, j) in enumerate(zip(self.sources.tolist(), self.sinks.tolist())):
+            adj[i].append((j, k))
+            adj[j].append((i, k))
+        parent, parent_edge, depth = [-1] * self.n, [-1] * self.n, [-1] * self.n
+        depth[0] = 0
+        order = [0]
+        for u in order:  # order grows while it is walked: a FIFO queue
+            for v, k in adj[u]:
+                if depth[v] < 0:
+                    parent[v], parent_edge[v], depth[v] = u, k, depth[u] + 1
+                    order.append(v)
+        return BFSTree(order=order, parent=parent, parent_edge=parent_edge, depth=depth)
+
+
+class WeightedGraph:
+    """Undirected weighted graph with node ids 1..n; immutable.
+
+    Stored: n and, per edge sorted by (source, sink), the 0-based read-only
+    intp arrays sources < sinks and the weights in (0, inf).  edges, the
+    1-based (source, sink, weight) tuples, is derived; graphs are equal when
+    n and edges are.  WeightedGraph(n, edges) takes sorted, oriented edges.
+    """
+
+    def __init__(self, n: int, edges):
+        a = _edge_triples(edges)
+        self._store(_Topology(n, a[:, :2].T.copy(), a[:, 2]), a[:, 2].copy())
+
+    def _store(self, topology: _Topology, weights: np.ndarray) -> "WeightedGraph":
+        vars(self).update(_topology=topology, n=topology.n, m=topology.m,
+                          sources=topology.sources, sinks=topology.sinks, weights=weights)
+        return self
+
+    def _frozen(self, name, *value):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        same_class = other.__class__ is self.__class__
+        return (self.n, self.edges) == (other.n, other.edges) if same_class else NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        return f"WeightedGraph(n={self.n!r}, edges={self.edges!r})"
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "WeightedGraph":
-        """Build a graph, normalizing edge orientation and order.
-
-        Node ids may be any numbers with integral values; others raise ValueError.
-        """
-        normalized = []
-        for i0, j0, w in edges:
-            i, j = int(i0), int(j0)
-            if i != i0 or j != j0:
-                raise ValueError(f"edge ({i0},{j0}) has a non-integral node id")
-            if i > j:
-                i, j = j, i
-            normalized.append((i, j, float(w)))
-        normalized.sort(key=lambda e: (e[0], e[1]))
-        return cls(n=n, edges=tuple(normalized))
-
-    # --- cached edge arrays (0-based indices) ---
+        """Build a graph from (i, j, weight) triples in any orientation and order, as a
+        sequence or an (m, 3) array; node ids must have integral values (ValueError)."""
+        a = _edge_triples(edges)
+        ij = np.sort(a.T[:2], axis=0)  # rows: the lower and the higher id of each edge
+        order = np.lexsort(ij[::-1])
+        w = a[:, 2].take(order)
+        return cls.__new__(cls)._store(_Topology(n, ij.take(order, axis=1), w), w)
 
     @cached_property
-    def m(self) -> int:
-        return len(self.edges)
-
-    @cached_property
-    def sources(self) -> np.ndarray:
-        return _read_only(np.array([e[0] - 1 for e in self.edges], dtype=np.intp))
-
-    @cached_property
-    def sinks(self) -> np.ndarray:
-        return _read_only(np.array([e[1] - 1 for e in self.edges], dtype=np.intp))
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return np.array([e[2] for e in self.edges], dtype=float)
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {(e[0], e[1]): k for k, e in enumerate(self.edges)}
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        return tuple(zip((self.sources + 1).tolist(), (self.sinks + 1).tolist(),
+                         self.weights.tolist()))
 
     def incidence(self) -> np.ndarray:
         """Dense oriented incidence matrix B, shape (n, m)."""
@@ -183,20 +224,10 @@ class WeightedGraph:
         b[self.sinks, np.arange(self.m)] = 1.0
         return b
 
-    @cached_property
-    def _endpoints(self) -> np.ndarray:
-        """Every edge's source, then every edge's sink: node sums bin on these."""
-        return np.concatenate([self.sources, self.sinks])
-
     def _node_sum(self, c: np.ndarray) -> np.ndarray:
         """|B| c: per node, the sum of c over the incident edges."""
-        sums = np.bincount(self._endpoints, np.concatenate([c, c]), self.n)
+        sums = np.bincount(self._topology.endpoints, np.concatenate([c, c]), self.n)
         return sums.astype(float, copy=False)  # with no edges bincount returns int64
-
-    @cached_property
-    def _divergence_index(self) -> np.ndarray:
-        """Every edge's sink, then every edge's source: divergence bins on these."""
-        return np.concatenate([self.sinks, self.sources])
 
     def laplacian(self, c=None) -> np.ndarray:
         """B diag(c) B^T for an edge vector c; the weighted Laplacian by default."""
@@ -226,48 +257,20 @@ class WeightedGraph:
     def weighted_degrees(self) -> np.ndarray:
         return self._node_sum(self.weights)
 
-    @cached_property
-    def bfs_tree(self) -> "BFSTree":
+    @property
+    def bfs_tree(self) -> BFSTree:
         """Breadth-first spanning tree from index 0, neighbours taken in edge order."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for k, (i, j, _) in enumerate(self.edges):
-            adj[i - 1].append((j - 1, k))
-            adj[j - 1].append((i - 1, k))
-        parent = [-1] * self.n
-        parent_edge = [-1] * self.n
-        depth = [-1] * self.n
-        depth[0] = 0
-        order = [0]
-        for u in order:  # order grows while it is walked: a FIFO queue
-            for v, k in adj[u]:
-                if depth[v] < 0:
-                    parent[v], parent_edge[v], depth[v] = u, k, depth[u] + 1
-                    order.append(v)
-        return BFSTree(order=order, parent=parent, parent_edge=parent_edge, depth=depth)
+        return self._topology.bfs_tree
 
     def with_weights(self, weights) -> "WeightedGraph":
-        """Same topology with a new weight per (sorted) edge.
-
-        The topology is not validated again; only the weights are, each
-        finite and > 0 (ValueError naming the edge otherwise).  The new
-        graph starts with the parent's topology caches that are already
-        built (m, sources, sinks, _endpoints, _divergence_index, bfs_tree,
-        edge_index), as the same objects.  Its weights array is a copy of
-        the argument, and its sparse Laplacian factor is built anew.
-        """
+        """Same topology (the same _Topology) with a copy of weights, one per sorted edge;
+        only they are checked, each finite and > 0 (ValueError naming the edge otherwise)."""
         w = np.array(weights, dtype=float)
         if w.shape != (self.m,):
             raise DimensionMismatchError(f"expected {self.m} weights, got {w.shape}")
-        bad = np.flatnonzero(~((w > 0) & (w < np.inf)))
-        if bad.size:
-            i, j, _ = self.edges[bad[0]]
-            raise _weight_error(i, j, w[bad[0]])
-        g = object.__new__(WeightedGraph)  # skips __post_init__: the topology is valid
-        cached = self.__dict__
-        g.__dict__.update({name: cached[name] for name in _TOPOLOGY_CACHES if name in cached})
-        g.__dict__.update(n=self.n, weights=w,
-                          edges=tuple((e[0], e[1], wk) for e, wk in zip(self.edges, w.tolist())))
-        return g
+        if not ((w > 0) & (w < np.inf)).all():
+            raise _edge_error(self.n, np.stack([self.sources, self.sinks]) + 1.0, w)
+        return WeightedGraph.__new__(WeightedGraph)._store(self._topology, w)
 
     def scaled(self, factor: float) -> "WeightedGraph":
         """Uniformly scale all coupling weights."""
@@ -295,7 +298,7 @@ def divergence(g: WeightedGraph, psi) -> np.ndarray:
     if psi.shape != (g.m,):
         raise DimensionMismatchError(f"expected length-{g.m} edge vector, got {psi.shape}")
     flow = g.weights * psi
-    net = np.bincount(g._divergence_index, np.concatenate([flow, -flow]), g.n)
+    net = np.bincount(g._topology.divergence_index, np.concatenate([flow, -flow]), g.n)
     return net.astype(float, copy=False)  # with no edges bincount returns int64
 
 
@@ -306,7 +309,7 @@ def _sine_coupling(g: WeightedGraph, theta: np.ndarray) -> np.ndarray:
     divergence(g, np.sin(edge_differences(g, theta))), so the same bits.
     """
     flow = g.weights * np.sin(theta[g.sinks] - theta[g.sources])
-    net = np.bincount(g._divergence_index, np.concatenate([flow, -flow]), g.n)
+    net = np.bincount(g._topology.divergence_index, np.concatenate([flow, -flow]), g.n)
     return net.astype(float, copy=False)  # with no edges bincount returns int64
 
 
@@ -493,17 +496,11 @@ def load_graph(path: str) -> WeightedGraph:
     or from an edge-list CSV with header i,j,weight (n inferred)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return graph_from_dict(json.loads(text))
-    reader = csv.DictReader(io.StringIO(text))
-    edges = []
-    max_id = 0
-    for row in reader:
-        i, j, w = int(row["i"]), int(row["j"]), float(row["weight"])
-        edges.append((i, j, w))
-        max_id = max(max_id, i, j)
-    return WeightedGraph.from_edges(max_id, edges)
+    rows = csv.DictReader(io.StringIO(text))
+    edges = [(int(r["i"]), int(r["j"]), float(r["weight"])) for r in rows]
+    return WeightedGraph.from_edges(max((max(i, j) for i, j, _ in edges), default=0), edges)
 
 
 def save_graph(g: WeightedGraph, path: str) -> None:

@@ -543,7 +543,7 @@ class RampSpec:
 
     def __post_init__(self):
         if self.mode not in ("uniform", "proportional"):
-            raise ValueError(f"unknown ramp mode {self.mode!r}")
+            raise InvalidSpecError(f"unknown ramp mode {self.mode!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -566,24 +566,24 @@ def apply_trips(case: PowerCase, trips: list[str]) -> PowerCase:
     buses = list(case.buses)
     branches = list(case.branches)
     for trip in trips:
-        kind, _, spec = trip.partition(":")
-        if kind == "gen":
-            bid = int(spec)
+        parsed = re.fullmatch(r"gen:(\d+)|branch:(\d+)-(\d+)", trip)
+        if parsed is None:
+            raise InvalidSpecError(f"trip {trip!r} is neither 'gen:ID' nor 'branch:I-J'")
+        gen, i, j = parsed.groups()
+        if gen is not None:
+            bid = int(gen)
             for k, b in enumerate(buses):
                 if b.id == bid:
                     buses[k] = _bus_with(b, 0.0, b.pd_mw, kind="load")
                     break
             else:
                 raise InconsistentCaseError(f"trip references missing bus {bid}")
-        elif kind == "branch":
-            i, _, j = spec.partition("-")
+        else:
             pair = {int(i), int(j)}
             kept = [br for br in branches if {br.from_bus, br.to_bus} != pair]
             if len(kept) == len(branches):
-                raise InconsistentCaseError(f"trip references missing branch {spec}")
+                raise InconsistentCaseError(f"trip references missing branch {i}-{j}")
             branches = kept
-        else:
-            raise ValueError(f"unknown trip kind {kind!r}")
     if len(branches) == len(case.branches):  # every branch trip removes at least one
         tripped = _with_buses(case, tuple(buses))
     else:

@@ -72,18 +72,18 @@ class NominalNetworkSpec:
             raise InvalidSpecError("need n >= 2")
 
 
-def _erg_edges(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, int, float]]:
+def _erg_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     iu, ju = np.triu_indices(n, k=1)
     mask = rng.random(len(iu)) < p
-    return [(int(i) + 1, int(j) + 1, 1.0) for i, j in zip(iu[mask], ju[mask])]
+    return np.column_stack((iu[mask] + 1, ju[mask] + 1, np.ones(np.count_nonzero(mask))))
 
 
-def _rgg_edges(n: int, radius: float, rng: np.random.Generator) -> list[tuple[int, int, float]]:
+def _rgg_edges(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     pts = rng.random((n, 2))
     iu, ju = np.triu_indices(n, k=1)
     dist = np.linalg.norm(pts[iu] - pts[ju], axis=1)
     mask = dist <= radius
-    return [(int(i) + 1, int(j) + 1, 1.0) for i, j in zip(iu[mask], ju[mask])]
+    return np.column_stack((iu[mask] + 1, ju[mask] + 1, np.ones(np.count_nonzero(mask))))
 
 
 SMN_NEIGHBORS_PER_SIDE = 2  # canonical small-world base lattice (degree 4)

@@ -4,11 +4,11 @@ The central quantity is the margin
 
     ||B^T Ldag omega||_inf  =  max_{(i,j) in E} |(Ldag omega)_i - (Ldag omega)_j|,
 
-the worst edge difference of the linear (small-angle) solution.  A stable,
-phase-cohesive equilibrium with every edge distance at most gamma exists
-whenever the margin is at most sin(gamma); the condition is exact on trees,
-on uniformly weighted complete graphs, for cut-set inducing frequencies,
-asymptotically for weak heterogeneity, and for short or symmetric cycles.
+the worst edge difference of the linear (small-angle) solution.  A margin
+of at most sin(gamma) guarantees a stable equilibrium with every edge
+distance at most gamma on trees, uniformly weighted complete graphs,
+cut-set inducing frequencies, short or symmetric cycles and, asymptotically,
+weak heterogeneity; elsewhere it is only a statistically accurate predictor.
 
 The module also evaluates the necessary degree conditions, the exact
 single-cycle feasibility test, and the minimum-infinity-norm certificate:

@@ -247,3 +247,14 @@ def test_contingency_rejects_flat_loading_grid(tmp_path, capsys):
                  "--max-loading", "0", "--points", "3", "--out", str(tmp_path / "c.csv")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: loadings")
+
+
+@pytest.mark.parametrize("flag, spec", [("--trip", "foo:1"), ("--trip", "gen:abc"),
+                                        ("--trip", "branch:5"), ("--ramp", "3:x")])
+def test_contingency_rejects_malformed_specs(tmp_path, capsys, flag, spec):
+    args = {"--trip": "gen:323", "--ramp": "southeast", flag: spec}
+    code = main(["contingency", "--case", RTS96, "--trip", args["--trip"],
+                 "--ramp", args["--ramp"], "--points", "3", "--out", str(tmp_path / "c.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(spec) in err

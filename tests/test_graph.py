@@ -231,6 +231,10 @@ def test_graph_validation():
         WeightedGraph(2, ((1, 2, 1.0), (1, 2, 2.0)))  # duplicate
     with pytest.raises(ValueError):
         WeightedGraph(2, ((2, 1, 1.0),))  # orientation
+    with pytest.raises(ValueError, match=r"edge \(1\.5,2\) has a non-integral node id"):
+        WeightedGraph(3, ((1.5, 2, 1.0), (2, 3, 1.0)))
+    with pytest.raises(ValueError, match=r"edge \(1,2\) out of order after \(2,3\)"):
+        WeightedGraph(3, ((2, 3, 1.0), (1, 2, 1.0)))
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -1.0])
@@ -258,27 +262,79 @@ def test_non_integral_node_ids_are_rejected():
 
 def test_with_weights_shares_topology_not_weights():
     g = random_connected_graph(11)
-    for name in ("sources", "sinks", "_endpoints", "_divergence_index", "bfs_tree", "edge_index"):
-        getattr(g, name)
+    topology = g._topology
+    tree, endpoints = g.bfs_tree, topology.endpoints
     g._grounded_laplacian_lu
     w = np.linspace(1.0, 2.0, g.m)
     h = g.with_weights(w)
-    for name in ("m", "sources", "sinks", "_endpoints", "_divergence_index", "bfs_tree", "edge_index"):
+    assert h._topology is topology and h.bfs_tree is tree and h._topology.endpoints is endpoints
+    for name in ("n", "m", "sources", "sinks"):
         assert getattr(h, name) is getattr(g, name), name
     assert h.weights is not w and np.array_equal(h.weights, w)
-    assert "_grounded_laplacian_lu" not in vars(h)
+    assert "edges" not in vars(h) and "_grounded_laplacian_lu" not in vars(h)
     assert h._grounded_laplacian_lu is not g._grounded_laplacian_lu
     # the same graph as one built and validated from its edges
     rebuilt = WeightedGraph(g.n, tuple((i, j, float(wk)) for (i, j, _), wk in zip(g.edges, w)))
     assert h == rebuilt and hash(h) == hash(rebuilt) and h.edges == rebuilt.edges
     assert all(type(x) is type(y) for e, f in zip(h.edges, rebuilt.edges) for x, y in zip(e, f))
     assert np.array_equal(h.laplacian(), rebuilt.laplacian())
-    # the public index arrays are read-only
+    # the public index arrays are read-only, and the graph takes no new attribute
     for name in ("sources", "sinks"):
         with pytest.raises(ValueError):
             getattr(h, name)[0] = 0
+    with pytest.raises(AttributeError):
+        h.weights = w
     with pytest.raises(DimensionMismatchError):
         g.with_weights(np.ones(g.m + 1))
+
+
+def _normalized_reference(edges):
+    """Reference for from_edges: orient and sort the triples in plain Python."""
+    normalized = []
+    for i0, j0, w in edges:
+        i, j = int(i0), int(j0)
+        assert i == i0 and j == j0
+        if i > j:
+            i, j = j, i
+        normalized.append((i, j, float(w)))
+    normalized.sort(key=lambda e: (e[0], e[1]))
+    return tuple(normalized)
+
+
+def _assert_matches_reference(n, edges):
+    want = _normalized_reference(edges)
+    g = WeightedGraph.from_edges(n, edges)
+    assert g.edges == want
+    assert all(type(x) is type(y) for e, f in zip(g.edges, want) for x, y in zip(e, f))
+    assert g.sources.dtype == np.intp and g.sinks.dtype == np.intp
+    assert np.array_equal(g.sources, [e[0] - 1 for e in want])
+    assert np.array_equal(g.sinks, [e[1] - 1 for e in want])
+    assert np.array_equal(g.weights, [e[2] for e in want])
+    assert g == WeightedGraph(n, want) and hash(g) == hash(WeightedGraph(n, want))
+    assert WeightedGraph.from_edges(n, np.array(edges, dtype=float).reshape(-1, 3)) == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_from_edges_matches_python_normalize_and_sort(seed):
+    # shuffled, partly misoriented edge lists, some ids given as integral floats
+    g = random_connected_graph(seed, n_max=40)
+    rng = np.random.default_rng(seed)
+    edges = []
+    for (i, j, w), flip, as_float in zip(g.edges, rng.random(g.m) < 0.5, rng.random(g.m) < 0.3):
+        i, j = (j, i) if flip else (i, j)
+        edges.append((float(i), j, w) if as_float else (i, j, w))
+    _assert_matches_reference(g.n, [edges[k] for k in rng.permutation(g.m)])
+
+
+def test_from_edges_matches_python_normalize_and_sort_on_rts96():
+    from syncgrid.powerflow import _merged_edges, bundled_case
+
+    case = bundled_case("rts96")
+    node_of = {bid: k for k, bid in enumerate(case.bus_order)}
+    edges = [(i, j, e["a"]) for (i, j), e in _merged_edges(case, node_of).items()]
+    _assert_matches_reference(len(case.buses), edges)
+    _assert_matches_reference(len(case.buses), [(j, i, w) for i, j, w in reversed(edges)])
 
 
 def test_graph_io_roundtrip(tmp_path):

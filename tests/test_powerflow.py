@@ -12,6 +12,7 @@ from syncgrid import powerflow
 from syncgrid.equilibrium import EquilibriumSolution
 from syncgrid.errors import (
     InconsistentCaseError,
+    InvalidSpecError,
     IslandingDetectedError,
     NoAdjustableSourcesError,
     NonLosslessCaseError,
@@ -302,6 +303,15 @@ def test_trip_missing_reference():
         apply_trips(case, ["gen:99"])
     with pytest.raises(InconsistentCaseError):
         apply_trips(case, ["branch:1-9"])
+
+
+def test_malformed_trip_and_ramp_mode_are_spec_errors():
+    case = two_bus_case()
+    for trip in ("foo:1", "gen:abc", "branch:5", "gen:", "branch:1-"):
+        with pytest.raises(InvalidSpecError, match=repr(trip)):
+            apply_trips(case, [trip])
+    with pytest.raises(InvalidSpecError, match="'sideways'"):
+        RampSpec(3, (1, 2), mode="sideways")
 
 
 def test_ramp_conserves_balance():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from syncgrid.errors import ConnectivityRetryExceededError, InvalidSpecError, SyncgridError
-from syncgrid.graph import WeightedGraph, is_connected
+from syncgrid.graph import WeightedGraph, _Topology, is_connected
 from syncgrid.randnet import (
     NominalNetworkSpec,
     generate_graph,
@@ -150,7 +150,7 @@ def test_nominal_network_margin_below_one():
 
 def test_nominal_network_builds_one_bfs_tree_per_draw(monkeypatch):
     # the reweighted draw shares the BFS tree that generate_graph's connectivity test built
-    tree = WeightedGraph.__dict__["bfs_tree"]
+    tree = _Topology.__dict__["bfs_tree"]
     build, builds = tree.func, []
     from_edges, topologies = WeightedGraph.from_edges.__func__, []
 
