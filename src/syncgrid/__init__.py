@@ -68,7 +68,6 @@ from .experiments import (
     accuracy_experiment,
     chernoff_epsilon,
     chernoff_samples,
-    emit_report,
     hypothesis_experiment,
 )
 

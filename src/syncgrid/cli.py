@@ -19,22 +19,26 @@ import numpy as np
 
 from . import dynamics, experiments, powerflow, randnet, sync
 from .equilibrium import EquilibriumSolution, solve_equilibrium
-from .errors import InvalidSpecError, SyncgridError
+from .errors import InvalidSpecError, ParseError, SyncgridError
 from .graph import load_graph, solve_poisson
 from .randnet import NominalNetworkSpec
 
 
 def _load_omega(path: str) -> np.ndarray:
+    """One value per line (the first comma-separated field); blank lines are
+    skipped, a non-numeric first line is a header, and any other line that is
+    not a number is a ParseError naming it."""
     values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
                 values.append(float(line.split(",")[0]))
             except ValueError:
-                continue  # header line
+                if lineno > 1:
+                    raise ParseError(f"{path} line {lineno}: not a number: {line!r}") from None
     return np.array(values)
 
 

@@ -80,12 +80,12 @@ class OscillatorNetwork:
                 raise NonFiniteInputError(f"{name} holds nan or inf")
         bad = [i for i in self.second_order if not 1 <= i <= n]
         if bad:
-            raise ValueError(f"second-order ids outside 1..{n}: {bad}")
+            raise InvalidSpecError(f"second-order ids outside 1..{n}: {bad}")
         v1 = self.v1_indices
         if np.any(self.M[v1] <= 0):
-            raise ValueError("inertia must be positive on second-order nodes")
+            raise InvalidSpecError("inertia must be positive on second-order nodes")
         if np.any(self.D <= 0):
-            raise ValueError("damping must be positive on all nodes")
+            raise InvalidSpecError("damping must be positive on all nodes")
 
     @cached_property
     def v1_indices(self) -> np.ndarray:

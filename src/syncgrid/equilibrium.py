@@ -216,7 +216,6 @@ def solve_equilibrium(
     g: WeightedGraph,
     omega,
     theta0=None,
-    gamma: float = math.pi / 2,
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
 ) -> EquilibriumSolution:
@@ -225,10 +224,11 @@ def solve_equilibrium(
     Node 1 is grounded during the iteration, which removes the rotational
     null direction and keeps the reduced Jacobian invertible inside the
     cohesive region.  The default seed is the solution of the linear system
-    L theta = omega, i.e. the small-angle approximation.  gamma is carried
-    for reporting only; cohesiveness of the result is always computed.
-    A nan or inf in omega or theta0 raises NonFiniteInputError before any
-    factorization.
+    L theta = omega, i.e. the small-angle approximation.  Each step is
+    halved until the residual norm decreases; when MAX_STEP_HALVINGS
+    halvings all fail, the line search raises NoConvergenceError with the
+    last accepted iterate instead of taking an uphill step.  A nan or inf
+    in omega or theta0 raises NonFiniteInputError before any factorization.
     """
     require_connected(g)
     omega = np.asarray(omega, dtype=float)
@@ -268,6 +268,13 @@ def solve_equilibrium(
             if trial_norm < res_norm:
                 break
             scale *= 0.5
+        else:
+            raise NoConvergenceError(
+                f"line search found no descent in {MAX_STEP_HALVINGS} step halvings "
+                f"at iteration {iteration} (residual {res_norm:.3e})",
+                theta=theta,
+                residual=res_norm,
+            )
         theta, residual, res_norm = trial, trial_res, trial_norm
 
     if res_norm <= tol:

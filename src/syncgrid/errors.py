@@ -74,6 +74,7 @@ class NoSyncInBracketError(SyncgridError):
 
 class InvalidSpecError(SyncgridError, ValueError):
     """Study parameters (random network spec, scenario config, loading grid)
+    or input files (graph edges and weights, network inertia and damping)
     outside their documented ranges."""
 
 

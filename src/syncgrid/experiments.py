@@ -197,57 +197,3 @@ def write_rows_csv(header: list[str], rows: list[list], path: str) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-
-
-SCHEMA_VERSION = 1
-
-
-def _report_fields(result) -> dict:
-    """Field map of one experiment result, in report column order."""
-    if isinstance(result, HypothesisResult):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "hypothesis",
-            "n": result.spec.n,
-            "model": result.spec.model,
-            "p": result.spec.p,
-            "alpha": result.spec.alpha,
-            "distribution": result.spec.distribution,
-            "seed": result.spec.seed,
-            "samples": result.samples,
-            "failures": result.failures,
-            "empirical_probability": result.empirical_probability,
-            "tolerance_used": result.tolerance_used,
-            "chernoff_epsilon_at_eta_0.01": result.chernoff_accuracy_at_1pct,
-        }
-    if isinstance(result, AccuracyResult):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "accuracy",
-            "n": result.n,
-            "model": result.model,
-            "p": result.p,
-            "distribution": result.distribution,
-            "seed": result.seed,
-            "samples": result.samples,
-            "mean_ratio": result.mean_ratio,
-            "ratios": list(result.ratios),
-        }
-    raise TypeError(f"cannot emit report for {type(result)!r}")
-
-
-def emit_report(result, fmt: str, path: str) -> None:
-    """Serialize an experiment result to CSV or JSON.
-
-    Output bytes are deterministic for fixed inputs: sorted keys and fixed
-    float formatting, with the schema version, seed and config embedded.
-    CSV carries the scalar fields only (one header row, one value row).
-    """
-    fields = _report_fields(result)
-    if fmt == "json":
-        write_report_json(fields, path)
-    elif fmt == "csv":
-        header = [k for k, v in fields.items() if not isinstance(v, list)]
-        write_rows_csv(header, [[fields[k] for k in header]], path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")

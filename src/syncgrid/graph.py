@@ -69,6 +69,7 @@ from .errors import (
     DegenerateGraphError,
     DimensionMismatchError,
     DisconnectedGraphError,
+    InvalidSpecError,
 )
 
 # Relative tolerance for declaring a Laplacian eigenvalue zero.
@@ -83,7 +84,7 @@ def _edge_triples(edges) -> np.ndarray:
     """edges, a sequence of (i, j, weight) or an (m, 3) array, as an (m, 3) float array."""
     a = np.asarray(edges, dtype=float)
     if a.shape[1:] != (3,) and a.size:
-        raise ValueError(f"edges must be (i, j, weight) triples, got shape {a.shape}")
+        raise InvalidSpecError(f"edges must be (i, j, weight) triples, got shape {a.shape}")
     return a.reshape(-1, 3)
 
 
@@ -99,26 +100,26 @@ def _valid_edges(n: int, ij: np.ndarray, w: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _edge_error(n: int, ij: np.ndarray, w: np.ndarray) -> ValueError:
+def _edge_error(n: int, ij: np.ndarray, w: np.ndarray) -> InvalidSpecError:
     """The error naming the first edge that _valid_edges rejects."""
     k = int(np.argmin(_valid_edges(n, ij, w)))
     a, b, wk = float(ij[0, k]), float(ij[1, k]), float(w[k])
     if not (a.is_integer() and b.is_integer()):
         a, b = (int(x) if x.is_integer() else x for x in (a, b))
-        return ValueError(f"edge ({a},{b}) has a non-integral node id")
+        return InvalidSpecError(f"edge ({a},{b}) has a non-integral node id")
     a, b = int(a), int(b)
     if a == b:
-        return ValueError(f"self-loop on node {a}")
+        return InvalidSpecError(f"self-loop on node {a}")
     if not (1 <= a <= n and 1 <= b <= n):
-        return ValueError(f"edge ({a},{b}) outside node range 1..{n}")
+        return InvalidSpecError(f"edge ({a},{b}) outside node range 1..{n}")
     if a > b:
-        return ValueError(f"edge ({a},{b}) not lexicographically oriented")
+        return InvalidSpecError(f"edge ({a},{b}) not lexicographically oriented")
     if not 0 < wk < np.inf:
         kind = "non-positive" if wk <= 0 else "non-finite"
-        return ValueError(f"edge ({a},{b}) has {kind} weight {wk}")
+        return InvalidSpecError(f"edge ({a},{b}) has {kind} weight {wk}")
     p, q = int(ij[0, k - 1]), int(ij[1, k - 1])
-    return ValueError(f"duplicate edge ({a},{b})" if (p, q) == (a, b)
-                      else f"edge ({a},{b}) out of order after ({p},{q})")
+    return InvalidSpecError(f"duplicate edge ({a},{b})" if (p, q) == (a, b)
+                            else f"edge ({a},{b}) out of order after ({p},{q})")
 
 
 class BFSTree(NamedTuple):
@@ -205,7 +206,8 @@ class WeightedGraph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "WeightedGraph":
         """Build a graph from (i, j, weight) triples in any orientation and order, as a
-        sequence or an (m, 3) array; node ids must have integral values (ValueError)."""
+        sequence or an (m, 3) array; node ids must have integral values
+        (InvalidSpecError, a ValueError)."""
         a = _edge_triples(edges)
         ij = np.sort(a.T[:2], axis=0)  # rows: the lower and the higher id of each edge
         order = np.lexsort(ij[::-1])
@@ -264,7 +266,8 @@ class WeightedGraph:
 
     def with_weights(self, weights) -> "WeightedGraph":
         """Same topology (the same _Topology) with a copy of weights, one per sorted edge;
-        only they are checked, each finite and > 0 (ValueError naming the edge otherwise)."""
+        only they are checked, each finite and > 0 (InvalidSpecError, a
+        ValueError, naming the edge otherwise)."""
         w = np.array(weights, dtype=float)
         if w.shape != (self.m,):
             raise DimensionMismatchError(f"expected {self.m} weights, got {w.shape}")

@@ -422,7 +422,7 @@ def ac_power_flow(case: PowerCase, gamma: float = math.pi / 2) -> EquilibriumSol
 
 def _ac_flow(net: OscillatorNetwork, dc: DCFlowResult, gamma: float) -> EquilibriumSolution | Infeasible:
     try:
-        return solve_equilibrium(net.graph, net.omega, theta0=dc.delta, gamma=gamma)
+        return solve_equilibrium(net.graph, net.omega, theta0=dc.delta)
     except (NoConvergenceError, SingularJacobianError) as exc:
         return Infeasible(margin=dc.max_angle_diff, gamma=gamma, reason=str(exc))
 
@@ -628,6 +628,29 @@ def apply_ramp(case: PowerCase, ramp: RampSpec, loading: float) -> PowerCase:
                                    for b, pg, pd in zip(case.buses, pgs, pds)))
 
 
+def _first_crossing(loadings, values, a, b, level) -> float | None:
+    """Smallest loading s at which some |a_e + s b_e| reaches its level c_e.
+
+    values[k] >= 1 marks the grid loadings at or over the level; lo is the
+    last grid loading before the first of them.  Each |a_e + s b_e| is
+    convex in s, so no crossing hides between two grid loadings that are
+    both below the level, and after lo each edge crosses at most once, at
+    (sign(b_e) c_e - a_e) / b_e.  The crossing is the smallest such root
+    above lo, capped at the next grid loading: an exact root, with no
+    tolerance.  It is loadings[0] when the grid starts at or over the level,
+    and None when no grid loading reaches it.
+    """
+    over = np.flatnonzero(values >= 1.0)
+    if len(over) == 0:
+        return None
+    if over[0] == 0:
+        return float(loadings[0])
+    lo, hi = loadings[over[0] - 1], loadings[over[0]]
+    with np.errstate(divide="ignore", invalid="ignore"):  # b_e = 0: no root
+        roots = (np.sign(b) * level - a) / b
+    return float(np.min(roots[roots > lo], initial=hi))
+
+
 def contingency_scan(
     case: PowerCase,
     trips: list[str],
@@ -637,15 +660,17 @@ def contingency_scan(
     """Sweep the ramp loading after applying trips.
 
     Reports the margin and the worst thermal-line utilization (predicted
-    angle over limit angle) per loading, plus bisected crossing loadings
-    for the first thermal-limit hit and for margin = 1.
+    angle over limit angle) per loading, plus the exact loadings at which
+    the first line reaches its thermal limit and the margin reaches one.
 
     A scan costs two flow solves.  In both ramp modes the injections are
     affine in the loading s, and the rotating-frame shift and
     psi = B^T L^dagger omega are linear in omega.  So on the tripped network
     every edge flow is, in exact arithmetic, psi(s) = psi0 + s psi1 with
-    psi0 = psi(0) and psi1 = psi(1) - psi(0), and each grid loading and
-    bisection step is vector work on psi0 and psi1.  The two ramped
+    psi0 = psi(0) and psi1 = psi(1) - psi(0): the grid is one broadcast, and
+    each crossing is a root of |psi0_e + s psi1_e| = c_e (_first_crossing),
+    with c_e = 1 for the margin and sin(limit_e) for a limited line (inf
+    above pi/2, where arcsin never reaches the limit).  The two ramped
     injection vectors come from apply_ramp's arithmetic without building
     ramped buses.  loadings must be finite and strictly increasing
     (InvalidSpecError, a ValueError, otherwise).
@@ -655,7 +680,7 @@ def contingency_scan(
     loadings = np.asarray(loadings, dtype=float)
     if loadings.ndim != 1 or not np.all(np.isfinite(loadings)):
         raise InvalidSpecError(f"loadings must be a finite 1-D sequence, got {loadings}")
-    if np.any(np.diff(loadings) <= 0):  # the crossing bisection needs an ascending grid
+    if np.any(np.diff(loadings) <= 0):  # the crossings need an ascending grid
         raise InvalidSpecError(f"loadings must be strictly increasing, got {loadings}")
     tripped = apply_trips(case, trips)
 
@@ -674,54 +699,21 @@ def contingency_scan(
 
     psi0 = flows(0.0)
     psi1 = flows(1.0) - psi0
-
-    def margin_and_utilization(s: float) -> tuple[float, float, tuple[int, int] | None]:
-        psi = psi0 + s * psi1
-        margin = float(np.max(np.abs(psi))) if len(psi) else 0.0
-        if not limited:
-            return margin, 0.0, None
-        utils = np.arcsin(np.minimum(1.0, np.abs(psi[limited_edges]))) / limit_angles
-        worst = int(np.argmax(utils))
-        best = float(utils[worst])
-        return margin, best, limited[worst][1] if best > 0 else None
-
-    margins = np.empty(len(loadings))
-    utils = np.empty(len(loadings))
-    binding = None
-    for k, s in enumerate(loadings):
-        margins[k], utils[k], line = margin_and_utilization(float(s))
-        if line is not None and utils[k] >= 1.0 and binding is None:
-            binding = line
-
-    def bisect_crossing(values: np.ndarray, target: float, evaluate) -> float | None:
-        above = np.nonzero(values >= target)[0]
-        if len(above) == 0:
-            return None
-        hi_idx = int(above[0])
-        if hi_idx == 0:
-            return float(loadings[0])
-        lo, hi = float(loadings[hi_idx - 1]), float(loadings[hi_idx])
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if evaluate(mid) >= target:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-6 * max(1.0, hi):
-                break
-        return hi
-
-    predicted_limit = bisect_crossing(utils, 1.0, lambda s: margin_and_utilization(s)[1])
-    margin_one = bisect_crossing(margins, 1.0, lambda s: margin_and_utilization(s)[0])
-    if binding is None and predicted_limit is not None:
-        _, _, binding = margin_and_utilization(predicted_limit)
+    psi = psi0 + loadings[:, None] * psi1  # row k: the flows at loadings[k]
+    line_utils = np.arcsin(np.minimum(1.0, np.abs(psi[:, limited_edges]))) / limit_angles
+    # initial=0.0 serves a case without edges (one bus) or without limited lines
+    margins = np.max(np.abs(psi), axis=1, initial=0.0)
+    utils = np.max(line_utils, axis=1, initial=0.0)
+    levels = np.where(limit_angles > math.pi / 2, math.inf, np.sin(limit_angles))
+    over = np.flatnonzero(utils >= 1.0)
     return ContingencyScan(
         loadings=loadings,
         margins=margins,
         line_utilization=utils,
-        predicted_limit_loading=predicted_limit,
-        margin_one_loading=margin_one,
-        binding_line=binding,
+        predicted_limit_loading=_first_crossing(
+            loadings, utils, psi0[limited_edges], psi1[limited_edges], levels),
+        margin_one_loading=_first_crossing(loadings, margins, psi0, psi1, 1.0),
+        binding_line=limited[int(np.argmax(line_utils[over[0]]))][1] if len(over) else None,
     )
 
 

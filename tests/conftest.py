@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import sys
 
-import numpy as np
+# One BLAS thread, as perfbench/run.py pins it, so that a test's wall-time
+# bound does not depend on how many cores other processes leave the session.
+# Set before numpy loads; a value already in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from syncgrid.graph import WeightedGraph
 from syncgrid.rng import substream

@@ -234,6 +234,32 @@ def test_cli_error_reporting(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+PATH3 = json.dumps({"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0]]})
+OMEGA3 = "0.1\n0.2\n-0.3\n"
+
+
+@pytest.mark.parametrize("command, files, message", [
+    ("analyze", {"graph": json.dumps({"n": 3, "edges": [[1, 2, 1.0], [1, 1, 1.0]]}),
+                 "omega": OMEGA3}, "self-loop on node 1"),
+    ("solve", {"graph": "i,j,weight\n1,2,-1\n2,3,1\n", "omega": OMEGA3},
+     "edge (1,2) has non-positive weight -1.0"),
+    ("simulate", {"net": json.dumps({"graph": json.loads(PATH3), "omega": [0.1, 0.0, -0.1],
+                                     "D": 0})}, "damping must be positive"),
+    # three numbers and a typo on a 3-node graph: the typo is not dropped
+    ("analyze", {"graph": PATH3, "omega": "omega\n0.1\n0.2x\n-0.3\n0.2\n"},
+     "line 3: not a number: '0.2x'"),
+], ids=["self-loop", "negative-weight", "zero-damping", "omega-typo"])
+def test_cli_rejects_malformed_input_files(tmp_path, capsys, command, files, message):
+    argv = [command, "--out", str(tmp_path / "out")]
+    for flag, text in files.items():
+        path = tmp_path / flag
+        path.write_text(text)
+        argv += [f"--{flag}", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_gen_rejects_out_of_range_p(capsys):
     # an erg edge probability above one is an input error, not a traceback
     code = main(["gen", "--model", "erg", "--n", "8", "--p", "2", "--alpha", "5"])

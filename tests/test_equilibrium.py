@@ -176,6 +176,17 @@ def test_no_convergence_carries_iterate():
     assert info.value.residual > 0
 
 
+def test_line_search_without_descent_raises():
+    # |omega| > a: no equilibrium exists.  From theta0 the full Newton step
+    # raises the residual from 0.2 to 1.82 and no halving lowers it, so the
+    # solve stops at theta0 instead of taking the uphill step.
+    g = WeightedGraph.from_edges(2, [(1, 2, 1.0)])
+    with pytest.raises(NoConvergenceError, match="line search") as info:
+        solve_equilibrium(g, [-1.2, 1.2], theta0=[0.0, math.pi / 2 + 1e-9])
+    assert info.value.residual <= 0.2
+    assert np.array_equal(info.value.theta, [0.0, math.pi / 2 + 1e-9])
+
+
 def test_near_singular_jacobian_raises():
     # at theta0 the grounded -J has 1- and 2-norm condition numbers near 3e16;
     # a plain solve would still return a step

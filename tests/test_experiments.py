@@ -12,8 +12,9 @@ from syncgrid.experiments import (
     accuracy_experiment,
     chernoff_epsilon,
     chernoff_samples,
-    emit_report,
     hypothesis_experiment,
+    write_report_json,
+    write_rows_csv,
 )
 from syncgrid.randnet import NominalNetworkSpec
 
@@ -83,49 +84,21 @@ def test_accuracy_complete_graph_uniform_below_one():
     assert result.mean_ratio > 0.3
 
 
-def test_emit_report_deterministic(tmp_path):
-    spec = NominalNetworkSpec(n=8, model="erg", p=0.5, alpha=5.0, seed=9)
-    result = hypothesis_experiment(spec, 12)
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    emit_report(result, "json", str(p1))
-    emit_report(result, "json", str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
-
-    c1 = tmp_path / "a.csv"
-    emit_report(result, "csv", str(c1))
-    lines = c1.read_text().splitlines()
-    assert len(lines) == 2
-    header = lines[0].split(",")
-    row = lines[1].split(",")
-    assert dict(zip(header, row))["samples"] == "12"
-
-
-def test_emit_report_accuracy(tmp_path):
-    result = AccuracyResult(n=4, model="erg", p=0.9, distribution="bipolar",
-                            samples=2, ratios=(1.0, 0.98))
-    path = tmp_path / "acc.json"
-    emit_report(result, "json", str(path))
-    text = path.read_text()
-    assert '"mean_ratio": 0.99' in text
-    with pytest.raises(ValueError):
-        emit_report(result, "yaml", str(path))
-    with pytest.raises(TypeError):
-        emit_report(object(), "json", str(path))
-
-
-def test_emit_report_empty_accuracy_is_valid_json(tmp_path):
-    # every sample can miss the bracket; the report must still parse
+def test_empty_accuracy_mean_ratio_is_nan_without_warning():
+    # every sample can miss the bracket
     result = AccuracyResult(n=4, model="erg", p=0.9, distribution="bipolar",
                             samples=2, ratios=())
-    path = tmp_path / "empty.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert math.isnan(result.mean_ratio)
-        emit_report(result, "json", str(path))
-    report = json.loads(path.read_text())
-    assert report["mean_ratio"] is None
-    assert report["ratios"] == []
-    csv_path = tmp_path / "empty.csv"
-    emit_report(result, "csv", str(csv_path))
-    header, row = csv_path.read_text().splitlines()
-    assert dict(zip(header.split(","), row.split(",")))["mean_ratio"] == "nan"
+
+
+def test_report_writers_keep_nan(tmp_path):
+    # the CLI's JSON must still parse with a nan in it; its CSV spells nan out
+    path = tmp_path / "report.json"
+    write_report_json({"mean_ratio": math.nan, "ratios": [], "samples": 2}, str(path))
+    assert path.read_text() == '{"mean_ratio": null, "ratios": [], "samples": 2}\n'
+    assert json.loads(path.read_text())["mean_ratio"] is None
+    csv_path = tmp_path / "rows.csv"
+    write_rows_csv(["samples", "mean_ratio"], [[2, math.nan]], str(csv_path))
+    assert csv_path.read_text() == "samples,mean_ratio\n2,nan\n"

@@ -81,7 +81,7 @@ GOLDEN = {
         {"out":
          "36896ff182cfb5f9463cfaf392230db7218426f3ec6f4af883623934e8873b15",
          "stdout":
-         "afb40c9ca11d79f3ec7f68938e61b3dd11331527d548c289b9ac85dd2a6132ce"},
+         "ce52fac0b5ed33088bccc7c8ce0c8b8cfaf4b9367bf8520d5ff3aa1598b68498"},
     ),
     "gen": (
         ["gen", "--model", "smn", "--n", "20", "--p", "0.2", "--alpha", "13", "--seed", "5",

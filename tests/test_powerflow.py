@@ -340,8 +340,8 @@ def test_contingency_scan_monotone_margin():
 
 
 def test_contingency_scan_builds_model_and_limits_once(monkeypatch):
-    # a ramp changes injections only: every loading and bisection step
-    # reuses the tripped model and its angle limits
+    # a ramp changes injections only: every loading and crossing reuses the
+    # tripped model and its angle limits
     builds = count_calls(monkeypatch, powerflow, "build_oscillator_model")
     limits = count_calls(monkeypatch, powerflow, "branch_angle_limits")
     scan = contingency_scan(bundled_case("rts96"), ["gen:323"], RampSpec(3, (1, 2)),
@@ -353,7 +353,7 @@ def test_contingency_scan_builds_model_and_limits_once(monkeypatch):
 
 def test_contingency_scan_makes_two_flow_solves(monkeypatch):
     # the flows are affine in the loading: psi(0) and psi(1) serve every
-    # grid loading and bisection step, however many points the scan has
+    # grid loading and both crossings, however many points the scan has
     solves = count_calls(monkeypatch, powerflow, "sync_margin")
     for points in (5, 41):
         solves.clear()
@@ -387,19 +387,58 @@ def test_affine_contingency_scan_matches_explicit_ramps(trips, ramp):
         ref_margin, ref_util = _explicit_margin_and_utilization(tripped, ramp, float(s))
         assert margin == pytest.approx(ref_margin, rel=1e-12)
         assert util == pytest.approx(ref_util, rel=1e-12)
-    # each crossing closes a bisection bracket of width 1e-6 around the
-    # crossing of the explicitly ramped case
+    # each crossing is an exact root: the explicitly ramped case reaches the
+    # level there to rounding, is below it just before and over it just after
     for crossing, which in ((scan.predicted_limit_loading, 1), (scan.margin_one_loading, 0)):
         assert crossing is not None and crossing > scan.loadings[0]
-        below = crossing - 1e-6 * max(1.0, crossing)
-        assert _explicit_margin_and_utilization(tripped, ramp, crossing)[which] >= 1.0
-        assert _explicit_margin_and_utilization(tripped, ramp, below)[which] < 1.0
+        at = _explicit_margin_and_utilization(tripped, ramp, crossing)[which]
+        assert at == pytest.approx(1.0, rel=0.0, abs=1e-12)
+        assert _explicit_margin_and_utilization(tripped, ramp, crossing - 1e-9)[which] < 1.0
+        assert _explicit_margin_and_utilization(tripped, ramp, crossing + 1e-9)[which] >= 1.0
+
+
+def test_contingency_crossings_do_not_depend_on_the_grid():
+    case = bundled_case("rts96")
+    grids = [np.linspace(0.0, 2.0, 5), np.linspace(0.0, 2.0, 11), np.linspace(0.0, 2.0, 41),
+             np.linspace(0.0, 0.3, 7)]
+    scans = [contingency_scan(case, ["gen:323"], RTS_RAMP, loadings=grid) for grid in grids]
+    assert len({scan.predicted_limit_loading for scan in scans}) == 1
+    assert len({scan.margin_one_loading for scan in scans[:3]}) == 1
+    assert scans[3].margin_one_loading is None  # that grid stops below margin one
+    assert len({scan.binding_line for scan in scans}) == 1
+
+
+def _with_tie(case, tie, **changes):
+    """case with every branch between the two buses of tie replaced by changes."""
+    return dataclasses.replace(case, branches=tuple(
+        dataclasses.replace(br, **changes) if {br.from_bus, br.to_bus} == tie else br
+        for br in case.branches))
+
+
+def test_angle_limit_above_half_pi_is_never_reached():
+    # arcsin(|psi|) <= pi/2, so a tie rated above pi/2 binds no more than an
+    # unrated one: another line binds, at the same loading.  The tie's flow
+    # grows from 0.153 to 0.222 before that loading, through sin(2.95) = 0.19,
+    # so a crossing taken where |psi| = sin(limit) would come too early.
+    case = bundled_case("rts96")
+    loadings = np.linspace(0.0, 2.0, 11)
+    scan = contingency_scan(case, ["gen:323"], RTS_RAMP, loadings=loadings)
+    tie = {case.bus_order[k - 1] for k in scan.binding_line}
+    loose, unrated = (
+        contingency_scan(_with_tie(case, tie, **changes), ["gen:323"], RTS_RAMP,
+                         loadings=loadings)
+        for changes in ({"angle_limit": 2.95}, {"rating_mva": None, "angle_limit": None}))
+    assert loose.binding_line is not None and loose.binding_line != scan.binding_line
+    assert loose.binding_line == unrated.binding_line
+    assert loose.predicted_limit_loading == unrated.predicted_limit_loading
+    assert loose.predicted_limit_loading > scan.predicted_limit_loading
 
 
 @pytest.mark.parametrize("loadings", [[1.0, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, float("nan"), 1.0],
                                       [0.0, float("inf")]])
 def test_contingency_scan_rejects_bad_loadings(loadings):
-    # the crossing bisection assumes an ascending grid of finite loadings
+    # the crossings start from the last grid loading below the level, so the
+    # grid must be finite and ascending
     with pytest.raises(ValueError, match="loadings"):
         contingency_scan(bundled_case("case9"), [], RampSpec(1, (1,)), loadings=loadings)
 
