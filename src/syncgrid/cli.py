@@ -20,7 +20,7 @@ import numpy as np
 from . import dynamics, experiments, powerflow, randnet, sync
 from .equilibrium import EquilibriumSolution, solve_equilibrium
 from .errors import InvalidSpecError, ParseError, SyncgridError
-from .graph import load_graph, solve_poisson
+from .graph import load_graph, parse_json, solve_poisson
 from .randnet import NominalNetworkSpec
 
 
@@ -97,7 +97,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_simulate(args) -> int:
     with open(args.net, "r", encoding="utf-8") as fh:
-        net = dynamics.network_from_dict(json.load(fh))
+        net = dynamics.network_from_dict(parse_json(fh.read(), args.net))
     theta0 = _load_omega(args.theta0) if args.theta0 else np.zeros(net.graph.n)
     traj = dynamics.simulate(net, theta0, t_end=args.t_end, step=args.step,
                              record_stride=args.record_stride)
@@ -225,14 +225,13 @@ def _cmd_contingency(args) -> int:
     if args.dynamic:
         summary["dynamic_cross_check"] = _dynamic_cross_check(
             case, args.trip, ramp, scan.predicted_limit_loading)
-    json.dump(summary, sys.stdout, indent=1, sort_keys=True, default=float)
-    sys.stdout.write("\n")
+    _write_json(summary, None)
     return 0
 
 
 def _cmd_montecarlo(args) -> int:
     with open(args.cells, "r", encoding="utf-8") as fh:
-        cell_dicts = json.load(fh)
+        cell_dicts = parse_json(fh.read(), args.cells)
     header = ["n", "model", "p", "alpha", "seed", "samples", "failures",
               "empirical_probability", "chernoff_epsilon_at_eta_0.01"]
     rows = []

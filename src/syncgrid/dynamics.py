@@ -43,12 +43,14 @@ from .errors import (
     NoSyncInBracketError,
     SingularJacobianError,
 )
-from .graph import WeightedGraph, _sine_coupling, edge_differences, require_connected
+from .graph import WeightedGraph, _sine_coupling, edge_differences
 from .rng import substream
-from .sync import _check_gamma, min_infinity_norm_solution, sync_margin
+from .sync import _check_gamma, min_infinity_norm_solution, recenter_frequencies, sync_margin
 
 DEFAULT_STEP = 1e-3
 DEFAULT_T_END = 100.0
+RK4_STEP_SAFETY = 2.0  # RK4 admits about 2.8
+KCRITICAL_REL_TOL = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,10 +137,6 @@ class Trajectory:
     @property
     def final_theta(self) -> np.ndarray:
         return self.theta[-1]
-
-    @property
-    def final_theta_dot(self) -> np.ndarray:
-        return self.theta_dot[-1]
 
 
 def _check_steps(t_end: float, step: float, record_stride: int) -> None:
@@ -283,12 +281,12 @@ def simulate(
     )
 
 
-def suggest_step(net: OscillatorNetwork, safety: float = 2.0) -> float:
+def suggest_step(net: OscillatorNetwork) -> float:
     """Largest fixed step the RK4 stability region tolerates.
 
     Gershgorin bounds the linearized rates by 2*degree/D on first-order
     nodes and by max(D/M, sqrt(2*degree/M)) on second-order nodes; the step
-    keeps step * rate below the given safety factor (RK4 admits ~2.8).
+    keeps step * rate at most RK4_STEP_SAFETY.
     """
     deg = net.graph.weighted_degrees()
     rates = [1e-9]
@@ -299,7 +297,7 @@ def suggest_step(net: OscillatorNetwork, safety: float = 2.0) -> float:
     if len(v1):
         rates.append(float(np.max(net.D[v1] / net.M[v1])))
         rates.append(float(np.max(np.sqrt(2.0 * deg[v1] / net.M[v1]))))
-    return min(DEFAULT_STEP * 10, safety / max(rates))
+    return min(DEFAULT_STEP * 10, RK4_STEP_SAFETY / max(rates))
 
 
 @dataclass(frozen=True)
@@ -372,81 +370,65 @@ def critical_coupling_search(
     g: WeightedGraph,
     omega,
     gamma: float = math.pi / 2,
-    rel_tol: float = 1e-3,
     seed: int = 0,
 ) -> KCriticalResult:
     """Bisection for the smallest gain K with a gamma-cohesive steady state.
 
     The graph must be unit weighted (gain-parametrized coupling K * a_ij);
-    gamma must lie in [0, pi/2] (GammaOutOfRangeError otherwise).  Each K
-    is decided by the paper's necessary certificate, then by Newton.
+    gamma must lie in [0, pi/2] (GammaOutOfRangeError otherwise).  The
+    bracket runs between the paper's two certificates until it is narrower
+    than KCRITICAL_REL_TOL times its upper end, which is returned.
 
-    The certificate: at gain K the minimum-infinity-norm flow is
-    floor / K, with floor = min_infinity_norm_solution(g, omega).norm
-    computed once per search.  An equilibrium that Newton accepts has
-    residual at most 1e-10 and cohesiveness at most gamma + 1e-9, so its
-    edge flows sin(theta_i - theta_j), each at most
-    s = sin(min(gamma + 1e-9, pi/2)) in size, carry omega at gain K up to
-    a zero-sum residual that a unit-weight flow of norm at most
-    n * 1e-10 / 2 carries (cut bound).  Hence floor <= K s + n * 1e-10 / 2
-    wherever Newton succeeds, and a K with
-    K s + n * 1e-10 < floor * (1 - 1e-6), the 1e-6 covering the LP's
-    tolerance, is rejected without a Newton solve.
+    Lower end: with floor = min_infinity_norm_solution(g, omega).norm, the
+    minimum-infinity-norm flow at gain K is floor / K.  An equilibrium that
+    Newton accepts has residual at most 1e-10 and cohesiveness at most
+    gamma + 1e-9, so its edge flows, each at most s = sin(min(gamma + 1e-9,
+    pi/2)) in size, carry omega at gain K up to a zero-sum residual that a
+    unit-weight flow of norm at most n * 1e-10 / 2 carries (cut bound).
+    Hence floor <= K s + n * 1e-10 / 2 wherever Newton succeeds: nowhere
+    below k_cert = (floor * (1 - 1e-6) - n * 1e-10) / s, the 1e-6 covering
+    the LP's tolerance.
 
-    Above the floor the cohesive equilibrium is sought by Newton
-    continuation from the previous solution, then from the linear seed and
-    5 random restarts.  The restarts are drawn for skipped K as well, so
-    the seed stream and the visited K do not depend on the skip.  The
-    upper bracket starts at the margin normalizer ||Ldag omega||_{E,inf}
-    and doubles up to 2^10 times if needed (NoSyncInBracketError beyond).
+    Upper end: the margin normalizer ||Ldag omega||_{E,inf}, doubled past
+    k_cert and then until Newton finds a cohesive equilibrium, up to 2^10
+    times (NoSyncInBracketError beyond; with no Newton solve if k_cert is
+    beyond).  Newton tries each visited K from the last cohesive solution,
+    the linear seed and 5 random restarts.
     """
     gamma = _check_gamma(gamma)
     if not np.allclose(g.weights, 1.0):
         raise ValueError("critical coupling search expects a unit-weight graph")
-    require_connected(g)
-    omega = np.asarray(omega, dtype=float)
-    omega = omega - omega.mean()
+    omega = recenter_frequencies(omega)
     normalizer = sync_margin(g, omega).margin
     if normalizer < 1e-14:
         return KCriticalResult(k_min=0.0, margin_normalizer=normalizer, ratio=1.0, theta=np.zeros(g.n))
 
     floor = min_infinity_norm_solution(g, omega).norm
     sin_gamma = math.sin(min(gamma + 1e-9, math.pi / 2))
+    k_cert = max(0.0, (floor * (1.0 - 1e-6) - g.n * 1e-10) / sin_gamma)
+    k_cap = normalizer * 2.0 ** 10
     rng = substream(seed, 0)
     best_theta: np.ndarray | None = None
 
     def exists(k: float) -> np.ndarray | None:
-        seeds = []
-        if best_theta is not None:
-            seeds.append(best_theta)
+        seeds = [] if best_theta is None else [best_theta]
         seeds.append(None)  # linear seed inside solve_equilibrium
         seeds.extend(rng.uniform(-gamma / 2, gamma / 2, size=g.n) for _ in range(5))
-        if k * sin_gamma + g.n * 1e-10 < floor * (1.0 - 1e-6):
-            return None
         return _try_newton_cohesive(g.scaled(k), omega, gamma, seeds)
 
     k_hi = normalizer
-    theta = exists(k_hi)
-    doublings = 0
-    while theta is None:
-        doublings += 1
-        if doublings > 10:
-            raise NoSyncInBracketError(f"no cohesive sync up to K = {k_hi:.6g}")
+    while k_hi < k_cert:
         k_hi *= 2.0
-        theta = exists(k_hi)
-    best_theta = theta
-
-    k_lo = k_hi / 2.0
-    while k_lo > 1e-12 * normalizer:
-        theta = exists(k_lo)
-        if theta is None:
+    while k_hi <= k_cap:
+        best_theta = exists(k_hi)
+        if best_theta is not None:
             break
-        best_theta, k_hi = theta, k_lo
-        k_lo /= 2.0
+        k_hi *= 2.0
     else:
-        k_lo = 0.0
+        raise NoSyncInBracketError(f"no cohesive sync up to K = {k_cap:.6g}")
 
-    while k_hi - k_lo > rel_tol * k_hi:
+    k_lo = k_cert
+    while k_hi - k_lo > KCRITICAL_REL_TOL * k_hi:
         mid = 0.5 * (k_lo + k_hi)
         theta = exists(mid)
         if theta is None:
@@ -477,11 +459,12 @@ def network_to_dict(net: OscillatorNetwork) -> dict:
 
 
 def network_from_dict(d: dict) -> OscillatorNetwork:
-    from .graph import graph_from_dict
+    """Network from its dict form; a missing "graph" or "omega" is a ParseError."""
+    from .graph import graph_from_dict, json_field
 
-    g = graph_from_dict(d["graph"])
+    g = graph_from_dict(json_field(d, "graph", "network"))
     n = g.n
-    omega = np.asarray(d["omega"], dtype=float)
+    omega = np.asarray(json_field(d, "omega", "network"), dtype=float)
     second = frozenset(int(i) for i in d.get("second_order", []))
 
     def expand(value, default):

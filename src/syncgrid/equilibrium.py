@@ -43,6 +43,7 @@ from .graph import (
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
+EQUILIBRIUM_RESIDUAL_TOL = 1e-8
 MAX_STEP_HALVINGS = 20
 # Largest 1-norm condition estimate of the grounded -J that a step is taken
 # with; the estimate comes from the Newton step's own LU (LAPACK dgecon dense,
@@ -106,9 +107,6 @@ class EquilibriumSolution:
     residual: float
     iterations: int = 0
 
-    def is_cohesive(self, gamma: float, slack: float = 1e-12) -> bool:
-        return self.cohesiveness <= gamma + slack
-
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -116,18 +114,18 @@ class StabilityReport:
     lambda2_of_minus_jacobian: float
 
 
-def assess_stability(g: WeightedGraph, theta, omega=None, residual_tol: float = 1e-8) -> StabilityReport:
+def assess_stability(g: WeightedGraph, theta, omega=None) -> StabilityReport:
     """Spectral stability test at an equilibrium.
 
     -J(theta) always has one zero eigenvalue from rotational symmetry; the
     equilibrium manifold is exponentially stable iff the second-smallest
     eigenvalue is positive.  When omega is given the point is first checked
-    to actually be an equilibrium.
+    to actually be an equilibrium (residual at most EQUILIBRIUM_RESIDUAL_TOL).
     """
     if omega is not None:
         res = float(np.max(np.abs(fixed_point_residual(g, omega, theta))))
-        if res > residual_tol:
-            raise NotAnEquilibriumError(f"residual {res:.3e} exceeds {residual_tol:.1e}")
+        if res > EQUILIBRIUM_RESIDUAL_TOL:
+            raise NotAnEquilibriumError(f"residual {res:.3e} exceeds {EQUILIBRIUM_RESIDUAL_TOL:.1e}")
     minus_jac = jacobian(g, theta)
     np.negative(minus_jac, out=minus_jac)  # in place: no second n x n array
     evals = np.linalg.eigvalsh(minus_jac)
@@ -217,7 +215,6 @@ def solve_equilibrium(
     omega,
     theta0=None,
     tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
 ) -> EquilibriumSolution:
     """Damped Newton solve of the flow-balance equations.
 
@@ -250,7 +247,7 @@ def solve_equilibrium(
 
     residual = fixed_point_residual(g, omega, theta)
     res_norm = float(np.max(np.abs(residual)))
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, NEWTON_MAX_ITER + 1):
         if res_norm <= tol:
             return _finalize(g, omega, theta, iteration - 1)
         solve, cond = _factor_grounded(_grounded_minus_jacobian(g, theta))
@@ -278,9 +275,9 @@ def solve_equilibrium(
         theta, residual, res_norm = trial, trial_res, trial_norm
 
     if res_norm <= tol:
-        return _finalize(g, omega, theta, max_iter)
+        return _finalize(g, omega, theta, NEWTON_MAX_ITER)
     raise NoConvergenceError(
-        f"no convergence after {max_iter} iterations (residual {res_norm:.3e})",
+        f"no convergence after {NEWTON_MAX_ITER} iterations (residual {res_norm:.3e})",
         theta=theta,
         residual=res_norm,
     )

@@ -70,6 +70,7 @@ from .errors import (
     DimensionMismatchError,
     DisconnectedGraphError,
     InvalidSpecError,
+    ParseError,
 )
 
 # Relative tolerance for declaring a Laplacian eigenvalue zero.
@@ -490,19 +491,38 @@ def graph_to_dict(g: WeightedGraph) -> dict:
     return {"n": g.n, "edges": [[i, j, w] for i, j, w in g.edges]}
 
 
+def parse_json(text: str, source: str):
+    """json.loads(text); a ParseError naming source when text is not valid JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{source}: not valid JSON ({exc})") from None
+
+
+def json_field(d, key: str, what: str):
+    """d[key] of a parsed JSON object; a ParseError naming the field when absent."""
+    if not isinstance(d, dict) or key not in d:
+        raise ParseError(f"{what} has no {key!r} field")
+    return d[key]
+
+
 def graph_from_dict(d: dict) -> WeightedGraph:
-    return WeightedGraph.from_edges(int(d["n"]), d["edges"])
+    return WeightedGraph.from_edges(int(json_field(d, "n", "graph")), json_field(d, "edges", "graph"))
 
 
 def load_graph(path: str) -> WeightedGraph:
     """Read a graph from JSON ({"n": ..., "edges": [[i,j,w], ...]})
-    or from an edge-list CSV with header i,j,weight (n inferred)."""
+    or from an edge-list CSV with header i,j,weight (n inferred); ParseError
+    names the file and line, or the field, of a malformed one."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return graph_from_dict(json.loads(text))
+        return graph_from_dict(parse_json(text, path))
     rows = csv.DictReader(io.StringIO(text))
-    edges = [(int(r["i"]), int(r["j"]), float(r["weight"])) for r in rows]
+    try:
+        edges = [(int(r["i"]), int(r["j"]), float(r["weight"])) for r in rows]
+    except (KeyError, TypeError, ValueError):
+        raise ParseError(f"{path} line {rows.line_num}: not an edge i,j,weight") from None
     return WeightedGraph.from_edges(max((max(i, j) for i, j, _ in edges), default=0), edges)
 
 

@@ -51,7 +51,7 @@ from .errors import (
     SingularJacobianError,
     SingularSystemError,
 )
-from .graph import WeightedGraph, edge_differences, is_connected, solve_poisson
+from .graph import WeightedGraph, edge_differences, is_connected, parse_json, solve_poisson
 from .rng import substream
 from .sync import Infeasible, sync_margin
 
@@ -291,10 +291,7 @@ def parse_case(text: str, strict_lossless: bool = False) -> PowerCase:
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        try:
-            case = _case_from_dict(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        case = _case_from_dict(parse_json(text, "case"))
     elif "mpc." in text:
         case = _parse_matpower(text)
     else:

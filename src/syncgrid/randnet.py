@@ -90,19 +90,23 @@ SMN_NEIGHBORS_PER_SIDE = 2  # canonical small-world base lattice (degree 4)
 
 
 @lru_cache(maxsize=None)
-def _smn_lattice(n: int) -> tuple[tuple[int, int], ...]:
-    """Sorted (i, j), i < j, edges of the ring joining each node to its nearest neighbors."""
+def _smn_lattice(n: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """Sorted (i, j), i < j, edges of the ring joining each node to its nearest
+    neighbors, and the same edges as a read-only (m, 3) array of unit-weight rows."""
     present = set()
     for i in range(1, n + 1):
         for k in range(1, SMN_NEIGHBORS_PER_SIDE + 1):
             j = (i + k - 1) % n + 1
             if i != j:
                 present.add((min(i, j), max(i, j)))
-    return tuple(sorted(present))
+    pairs = tuple(sorted(present))
+    rows = np.array([(i, j, 1.0) for i, j in pairs]).reshape(-1, 3)
+    rows.flags.writeable = False
+    return pairs, rows
 
 
-def _smn_edges(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, int, float]]:
-    """Small-world lattice with probabilistic rewiring.
+def _smn_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Small-world lattice with probabilistic rewiring, as (i, j, 1.0) rows.
 
     The base ring couples every node to its nearest neighbors on each side
     (degree 4, the canonical small-world lattice: a degree-2 ring is so
@@ -116,14 +120,17 @@ def _smn_edges(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, in
     rng.integers(count) over the non-neighbors of i in increasing id order;
     an i with no non-neighbor keeps its edge.  Per-node adjacency sets make
     a rewire O(deg log deg), from the sorted neighbors of i, instead of a
-    scan of the whole edge set, with the same draws.
+    scan of the whole edge set, with the same draws.  Each lattice edge is
+    rewired at most once, at its visit, so a rewire sets j in its own row
+    of the lattice array (j may fall below i; from_edges orients and sorts).
     """
-    lattice = _smn_lattice(n)
+    lattice, rows = _smn_lattice(n)
+    edges = rows.copy()
     adj: list[set[int]] = [set() for _ in range(n + 1)]
     for i, j in lattice:
         adj[i].add(j)
         adj[j].add(i)
-    for i, j in lattice:
+    for k, (i, j) in enumerate(lattice):
         if rng.random() >= p:
             continue
         nbrs = adj[i]
@@ -138,7 +145,8 @@ def _smn_edges(n: int, p: float, rng: np.random.Generator) -> list[tuple[int, in
         adj[j].discard(i)
         nbrs.add(w)
         adj[w].add(i)
-    return [(i, j, 1.0) for i in range(1, n + 1) for j in adj[i] if j > i]  # from_edges sorts
+        edges[k, 1] = w
+    return edges
 
 
 def generate_graph(spec: NominalNetworkSpec, sample: int = 0) -> WeightedGraph:

@@ -46,19 +46,22 @@ from .graph import (
 )
 
 CONDITION_SLACK = 1e-12
+RECENTER_RTOL = 1e-9
+NECESSARY_RTOL = 1e-9
 
 
-def recenter_frequencies(omega, tol: float = 1e-9) -> np.ndarray:
+def recenter_frequencies(omega) -> np.ndarray:
     """Project omega onto the zero-mean subspace.
 
     Raises NonZeroMeanFrequenciesError when recentring fails (non-finite
-    inputs), since every analysis below assumes sum(omega) = 0.
+    inputs), since every analysis below assumes sum(omega) = 0: the mean
+    left must be at most RECENTER_RTOL * max(1, max |omega_i|).
     """
     omega = np.asarray(omega, dtype=float)
     centered = omega - omega.mean()
     scale = max(1.0, float(np.max(np.abs(omega))) if omega.size else 1.0)
     mean_after = centered.mean() if centered.size else 0.0
-    if not abs(mean_after) <= tol * scale:
+    if not abs(mean_after) <= RECENTER_RTOL * scale:
         raise NonZeroMeanFrequenciesError(f"residual mean {mean_after!r} after recentring")
     return centered
 
@@ -126,12 +129,12 @@ class NecessaryCheck:
     violating_edges: tuple[tuple[int, int], ...]
 
 
-def necessary_conditions(g: WeightedGraph, omega, gamma: float, tol: float = 1e-9) -> NecessaryCheck:
+def necessary_conditions(g: WeightedGraph, omega, gamma: float) -> NecessaryCheck:
     """Check deg_i sin(gamma) >= |omega_i| and the incremental analogue.
 
-    Boundary cases that hold with equality are accepted within a relative
-    tolerance.  If a cohesive equilibrium at gamma exists, both checks are
-    guaranteed to pass.
+    Boundary cases that hold with equality are accepted within a slack of
+    NECESSARY_RTOL * max(1, max deg_i).  If a cohesive equilibrium at gamma
+    exists, both checks are guaranteed to pass.
     """
     gamma = _check_gamma(gamma)
     omega = recenter_frequencies(omega)
@@ -140,7 +143,7 @@ def necessary_conditions(g: WeightedGraph, omega, gamma: float, tol: float = 1e-
     sin_g = math.sin(gamma)
     deg = g.weighted_degrees()
     scale = max(1.0, float(np.max(deg)) if deg.size else 1.0)
-    slack = tol * scale
+    slack = NECESSARY_RTOL * scale
     src, snk = g.sources, g.sinks
     abs_bad = np.flatnonzero(deg * sin_g < np.abs(omega) - slack) + 1
     inc = (deg[src] + deg[snk]) * sin_g < np.abs(omega[src] - omega[snk]) - slack

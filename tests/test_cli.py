@@ -248,7 +248,16 @@ OMEGA3 = "0.1\n0.2\n-0.3\n"
     # three numbers and a typo on a 3-node graph: the typo is not dropped
     ("analyze", {"graph": PATH3, "omega": "omega\n0.1\n0.2x\n-0.3\n0.2\n"},
      "line 3: not a number: '0.2x'"),
-], ids=["self-loop", "negative-weight", "zero-damping", "omega-typo"])
+    ("analyze", {"graph": json.dumps({"edges": [[1, 2, 1.0]]}), "omega": OMEGA3},
+     "graph has no 'n' field"),
+    ("analyze", {"graph": "i,j,weight\n1,2,1\n2,3,abc\n", "omega": OMEGA3},
+     "line 3: not an edge i,j,weight"),
+    ("analyze", {"graph": PATH3[:-2], "omega": OMEGA3}, "graph: not valid JSON"),
+    ("simulate", {"net": json.dumps({"graph": json.loads(PATH3)})}, "network has no 'omega' field"),
+    ("simulate", {"net": json.dumps({"graph": json.loads(PATH3), "omega": [0.1, 0.0, -0.1]})[:-5]},
+     "net: not valid JSON"),
+], ids=["self-loop", "negative-weight", "zero-damping", "omega-typo", "graph-without-n",
+        "csv-weight-typo", "truncated-graph", "net-without-omega", "truncated-net"])
 def test_cli_rejects_malformed_input_files(tmp_path, capsys, command, files, message):
     argv = [command, "--out", str(tmp_path / "out")]
     for flag, text in files.items():

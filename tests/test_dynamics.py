@@ -30,7 +30,7 @@ from syncgrid.errors import (
 )
 from syncgrid.graph import WeightedGraph, divergence, edge_differences
 from syncgrid.rng import substream
-from syncgrid.sync import MinNormSolution, min_infinity_norm_solution, sync_margin
+from syncgrid.sync import min_infinity_norm_solution, sync_margin
 
 TWO_NODE = WeightedGraph.from_edges(2, [(1, 2, 2.0)])
 
@@ -264,44 +264,38 @@ def _kcritical_cells():
                     for dist in ("bipolar", "uniform")]
 
 
-def test_kcritical_floor_skip_changes_nothing(monkeypatch):
-    # a zero floor turns the skip off; the search must visit the same K and end
-    # on the same bits, with fewer Newton solves where the floor decides
-    cases = []
+def test_kcritical_visits_only_certified_gains_with_their_restarts(monkeypatch):
+    # each K the search visits lies at or above the certified bound k_cert and
+    # gets one Newton attempt with its own 5 restarts: none is drawn and thrown away
+    visited, draws = [], []
+    try_newton = dynamics._try_newton_cohesive
+
+    def recorded_try(g, omega, gamma, seeds):
+        visited.append(float(g.weights[0]))
+        return try_newton(g, omega, gamma, seeds)
+
+    class CountedStream:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def uniform(self, *args, **kwargs):
+            draws.append(None)
+            return self.rng.uniform(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_try_newton_cohesive", recorded_try)
+    monkeypatch.setattr(dynamics, "substream", lambda *key: CountedStream(substream(*key)))
     for i, (n, model, p, dist) in enumerate(_kcritical_cells()):
         spec = randnet.NominalNetworkSpec(n=n, model=model, p=p, distribution=dist,
                                           weighted=False, seed=900 + i)
+        g = randnet.generate_graph(spec)
         omega = randnet.sample_frequencies(n, dist, substream(900 + i, 0, 2))
-        cases.append((randnet.generate_graph(spec), omega, 900 + i))
-
-    calls = count_calls(monkeypatch, equilibrium, "solve_equilibrium")
-    streams = []
-
-    def recorded_substream(*key):
-        streams.append(substream(*key))
-        return streams[-1]
-
-    monkeypatch.setattr(dynamics, "substream", recorded_substream)
-
-    def searches():
-        out = []
-        for g, omega, seed in cases:
-            before = len(calls)
-            result = critical_coupling_search(g, omega, seed=seed)
-            # the next draw tells whether a skipped K drew its 5 restarts
-            out.append((result, len(calls) - before, streams[-1].random()))
-        return out
-
-    skipped = searches()
-    monkeypatch.setattr(dynamics, "min_infinity_norm_solution",
-                        lambda g, omega: MinNormSolution(psi_star=np.zeros(g.m), norm=0.0))
-    unskipped = searches()
-    for (got, solves, draw), (want, all_solves, all_draw) in zip(skipped, unskipped):
-        assert got.k_min == want.k_min
-        assert np.array_equal(got.theta, want.theta)
-        assert draw == all_draw
-        assert solves <= all_solves
-    assert any(got[1] < want[1] for got, want in zip(skipped, unskipped))
+        visited.clear()
+        draws.clear()
+        critical_coupling_search(g, omega, seed=900 + i)
+        floor = min_infinity_norm_solution(g, omega - omega.mean()).norm
+        k_cert = floor * (1.0 - 1e-6) - g.n * 1e-10  # sin(gamma) = 1
+        assert visited and min(visited) >= k_cert, (n, model, p, dist)
+        assert len(draws) == 5 * len(visited), (n, model, p, dist)
 
 
 @pytest.mark.parametrize("seed", range(12))

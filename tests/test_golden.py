@@ -68,7 +68,7 @@ GOLDEN = {
         ["accuracy", "--sizes", "10", "--ps", "0.2,0.8", "--samples", "3", "--seed", "1",
          "--out", "OUT"],
         {"out":
-         "2cd4d1ac8dc7f23642059ac39597e96e3bfaf8d0ebae9c2fae6f88e61d63c80e"},
+         "c69809dc7613417037c3e5922a886b8fff2b7c348246672b0d3b70695a1e5c6e"},
     ),
     "scenario": (
         ["scenario", "--case", RTS96, "--samples", "40", "--seed", "2", "--out", "OUT"],
@@ -103,7 +103,7 @@ GOLDEN = {
         ["kcritical", "--graph", "UNIT_JSON", "--omega", "OMEGA_CSV", "--seed", "4",
          "--out", "OUT"],
         {"out":
-         "821ba1954ddd8c3216a55a039898515fd44bc1e26e748e6424d31c817d28d3fb"},
+         "c877c778b0812ddf66effcc172c1d27e126f90a63473ce7d6c05cefd3a24cb76"},
     ),
     "simulate": (
         ["simulate", "--net", "NET_JSON", "--t-end", "2", "--step", "0.01",
