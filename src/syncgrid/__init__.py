@@ -20,6 +20,7 @@ from .sync import (
     cycle_sufficient_bound,
     min_infinity_norm_solution,
     necessary_conditions,
+    node_cut_ratio,
     single_cycle_feasibility,
     spectral_margin,
     sync_margin,

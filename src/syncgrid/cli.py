@@ -20,7 +20,7 @@ import numpy as np
 from . import dynamics, experiments, powerflow, randnet, sync
 from .equilibrium import EquilibriumSolution, solve_equilibrium
 from .errors import InvalidSpecError, ParseError, SyncgridError
-from .graph import load_graph, parse_json, solve_poisson
+from .graph import json_field, load_graph, parse_json, solve_poisson
 from .randnet import NominalNetworkSpec
 
 
@@ -235,12 +235,15 @@ def _cmd_montecarlo(args) -> int:
     header = ["n", "model", "p", "alpha", "seed", "samples", "failures",
               "empirical_probability", "chernoff_epsilon_at_eta_0.01"]
     rows = []
-    for cell in cell_dicts:
-        spec = NominalNetworkSpec(
-            n=int(cell["n"]), model=cell["model"], p=float(cell["p"]),
-            alpha=float(cell["alpha"]), distribution="width", weighted=True,
-            seed=args.seed,
-        )
+    for index, cell in enumerate(cell_dicts, start=1):
+        what = f"cell {index}"
+        n, model, p, alpha = (json_field(cell, key, what) for key in ("n", "model", "p", "alpha"))
+        try:
+            n, p, alpha = int(n), float(p), float(alpha)
+        except (TypeError, ValueError):
+            raise ParseError(f"{what}: n, p and alpha must be numbers") from None
+        spec = NominalNetworkSpec(n=n, model=model, p=p, alpha=alpha, distribution="width",
+                                  weighted=True, seed=args.seed)
         result = experiments.hypothesis_experiment(spec, args.samples)
         rows.append([spec.n, spec.model, spec.p, spec.alpha, spec.seed,
                      result.samples, result.failures,

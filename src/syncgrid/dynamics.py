@@ -41,6 +41,7 @@ from .errors import (
     NonFiniteInputError,
     NonFiniteStateError,
     NoSyncInBracketError,
+    ParseError,
     SingularJacobianError,
 )
 from .graph import WeightedGraph, _sine_coupling, edge_differences
@@ -459,25 +460,29 @@ def network_to_dict(net: OscillatorNetwork) -> dict:
 
 
 def network_from_dict(d: dict) -> OscillatorNetwork:
-    """Network from its dict form; a missing "graph" or "omega" is a ParseError."""
+    """Network from its dict form; a missing "graph" or "omega", or an omega, M
+    or D that is not numeric, is a ParseError naming the field."""
     from .graph import graph_from_dict, json_field
 
     g = graph_from_dict(json_field(d, "graph", "network"))
     n = g.n
-    omega = np.asarray(json_field(d, "omega", "network"), dtype=float)
-    second = frozenset(int(i) for i in d.get("second_order", []))
 
-    def expand(value, default):
+    def numbers(key, value):
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            raise ParseError(f"network field {key!r} is not numeric: {value!r}") from None
+
+    def expand(key, default):
+        value = d.get(key)
         if value is None:
             return np.full(n, default)
-        if np.isscalar(value):
-            return np.full(n, float(value))
-        return np.asarray(value, dtype=float)
+        return np.full(n, numbers(key, value)) if np.isscalar(value) else numbers(key, value)
 
     return OscillatorNetwork(
         graph=g,
-        omega=omega,
-        second_order=second,
-        M=expand(d.get("M"), 1.0),
-        D=expand(d.get("D"), 1.0),
+        omega=numbers("omega", json_field(d, "omega", "network")),
+        second_order=frozenset(int(i) for i in d.get("second_order", [])),
+        M=expand("M", 1.0),
+        D=expand("D", 1.0),
     )

@@ -210,7 +210,7 @@ class WeightedGraph:
         sequence or an (m, 3) array; node ids must have integral values
         (InvalidSpecError, a ValueError)."""
         a = _edge_triples(edges)
-        ij = np.sort(a.T[:2], axis=0)  # rows: the lower and the higher id of each edge
+        ij = np.sort(a[:, :2], axis=1).T  # rows: the lower and the higher id of each edge
         order = np.lexsort(ij[::-1])
         w = a[:, 2].take(order)
         return cls.__new__(cls)._store(_Topology(n, ij.take(order, axis=1), w), w)
@@ -237,9 +237,11 @@ class WeightedGraph:
         c = self.weights if c is None else np.asarray(c, dtype=float)
         if c.shape != (self.m,):
             raise DimensionMismatchError(f"expected {self.m} edge values, got {c.shape}")
-        lap = np.diag(self._node_sum(c))
-        lap[self.sources, self.sinks] = -c
-        lap[self.sinks, self.sources] = -c
+        n = self.n
+        lap = np.zeros(n * n)
+        lap[::n + 1] = self._node_sum(c)  # the diagonal of the flat n x n buffer
+        lap = lap.reshape(n, n)
+        lap[self.sources, self.sinks] = lap[self.sinks, self.sources] = -c
         return lap
 
     def _grounded(self, c: np.ndarray) -> sparse.csc_array:
@@ -394,15 +396,16 @@ def solve_poisson(g: WeightedGraph, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise DimensionMismatchError(f"expected length-{g.n} vector, got {x.shape}")
-    xc = x - x.mean()
-    if g.n >= SPARSE_MIN_NODES:
-        y = np.zeros(g.n)
+    n = g.n
+    xc = x - x.sum() / n  # x.mean() bit for bit, minus its overhead
+    if n >= SPARSE_MIN_NODES:
+        y = np.zeros(n)
         y[1:] = g._grounded_laplacian_lu.solve(xc[1:])
     else:
         aug = g.laplacian()
-        aug += 1.0 / g.n
+        aug += 1.0 / n
         y = np.linalg.solve(aug, xc)
-    return y - y.mean()
+    return y - y.sum() / n
 
 
 @dataclass(frozen=True)

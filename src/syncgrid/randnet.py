@@ -12,6 +12,17 @@ Disconnected realizations are discarded and resampled.  A nominal network
 is a (graph, frequencies) pair additionally conditioned on margin < 1;
 samples violating the margin are likewise discarded.  The whole pipeline
 is a pure function of (spec, sample index).
+
+Node-cut pre-filter.  A draw whose worst single-node cut ratio
+sync.node_cut_ratio, max_i |omega_i| / deg_i, is at least 1 + CUT_SLACK is
+rejected without its Poisson solve.  Proof: sync_margin's psi_particular
+is a flow with B diag(a) psi = omega, and at node i
+|omega_i| <= deg_i ||psi||_inf, so margin >= ratio (Gale's cut bound for
+S = {i}).  A skipped draw could have been accepted only if rounding
+moved its computed margin below 1, by at least ratio - 1 >= CUT_SLACK =
+1e-9; the solve's rounding is about cond(L) * 1e-16 relative, far below
+that at the sizes studied, so samples, margins and attempts stay bit for
+bit the same (tests compare every decision with the loop without the skip).
 """
 
 from __future__ import annotations
@@ -24,12 +35,15 @@ import numpy as np
 from .errors import ConnectivityRetryExceededError, InvalidSpecError, MarginRetryExceededError
 from .graph import WeightedGraph, is_connected
 from .rng import substream
-from .sync import sync_margin
+from .sync import node_cut_ratio, sync_margin
 
 MAX_RETRIES = 10_000
 
 WEIGHT_LOW = 0.5
 WEIGHT_HIGH = 5.0
+
+# A node-cut ratio this far above 1 proves margin >= 1 (module docstring).
+CUT_SLACK = 1e-9
 
 # Substream stages (third path component).
 _STAGE_TOPOLOGY = 0
@@ -90,9 +104,11 @@ SMN_NEIGHBORS_PER_SIDE = 2  # canonical small-world base lattice (degree 4)
 
 
 @lru_cache(maxsize=None)
-def _smn_lattice(n: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+def _smn_lattice(n: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray,
+                                  tuple[frozenset[int], ...]]:
     """Sorted (i, j), i < j, edges of the ring joining each node to its nearest
-    neighbors, and the same edges as a read-only (m, 3) array of unit-weight rows."""
+    neighbors, the same edges as a read-only (m, 3) array of unit-weight rows,
+    and the neighbor set of every node id (index 0 unused)."""
     present = set()
     for i in range(1, n + 1):
         for k in range(1, SMN_NEIGHBORS_PER_SIDE + 1):
@@ -102,7 +118,11 @@ def _smn_lattice(n: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
     pairs = tuple(sorted(present))
     rows = np.array([(i, j, 1.0) for i, j in pairs]).reshape(-1, 3)
     rows.flags.writeable = False
-    return pairs, rows
+    nbrs = [set() for _ in range(n + 1)]
+    for i, j in pairs:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return pairs, rows, tuple(frozenset(x) for x in nbrs)
 
 
 def _smn_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -115,38 +135,42 @@ def _smn_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     the other endpoint to a uniformly chosen non-neighbor; self-loops and
     duplicate edges are rejected by construction.
 
-    The sorted lattice is built once per n and cached.  Lattice edges are
-    visited in that order, each drawing rng.random() and, when rewired,
-    rng.integers(count) over the non-neighbors of i in increasing id order;
-    an i with no non-neighbor keeps its edge.  Per-node adjacency sets make
-    a rewire O(deg log deg), from the sorted neighbors of i, instead of a
-    scan of the whole edge set, with the same draws.  Each lattice edge is
-    rewired at most once, at its visit, so a rewire sets j in its own row
-    of the lattice array (j may fall below i; from_edges orients and sorts).
+    The sorted lattice and its neighbor sets are built once per n and
+    cached.  Lattice edges are visited in that order, each drawing
+    rng.random() and, when rewired, rng.integers(count) over the
+    non-neighbors of i in increasing id order; an i with no non-neighbor
+    keeps its edge.  Per-node neighbor sets make a rewire O(deg log deg),
+    from the sorted neighbors of i, instead of a scan of the whole edge set,
+    with the same draws.  Each lattice edge is rewired at most once, at its
+    visit, so a rewire sets j in its own row of the lattice array (j may
+    fall below i; from_edges orients and sorts).
     """
-    lattice, rows = _smn_lattice(n)
+    lattice, rows, lattice_nbrs = _smn_lattice(n)
     edges = rows.copy()
-    adj: list[set[int]] = [set() for _ in range(n + 1)]
-    for i, j in lattice:
-        adj[i].add(j)
-        adj[j].add(i)
-    for k, (i, j) in enumerate(lattice):
-        if rng.random() >= p:
+    targets = edges[:, 1]
+    adj = list(map(set, lattice_nbrs))
+    random, integers = rng.random, rng.integers
+    for k in range(len(lattice)):
+        if random() >= p:
             continue
+        i, j = lattice[k]
         nbrs = adj[i]
         count = n - 1 - len(nbrs)  # ids that are neither i nor a neighbor of i
         if count == 0:
             continue
-        w = int(rng.integers(count)) + 1  # step over the taken ids up to the chosen one
-        for x in sorted(nbrs | {i}):
+        w = int(integers(count)) + 1  # step over the taken ids up to the chosen one
+        for x in sorted((i, *nbrs)):
             if x <= w:
                 w += 1
         nbrs.discard(j)
         adj[j].discard(i)
         nbrs.add(w)
         adj[w].add(i)
-        edges[k, 1] = w
+        targets[k] = w
     return edges
+
+
+_EDGE_MODELS = {"erg": _erg_edges, "rgg": _rgg_edges, "smn": _smn_edges}
 
 
 def generate_graph(spec: NominalNetworkSpec, sample: int = 0) -> WeightedGraph:
@@ -155,8 +179,7 @@ def generate_graph(spec: NominalNetworkSpec, sample: int = 0) -> WeightedGraph:
     Disconnected draws are discarded; after MAX_RETRIES attempts the
     (n, p) combination is declared infeasible.
     """
-    builders = {"erg": _erg_edges, "rgg": _rgg_edges, "smn": _smn_edges}
-    build = builders[spec.model]
+    build = _EDGE_MODELS[spec.model]
     for trial in range(MAX_RETRIES):
         rng = substream(spec.seed, sample, _STAGE_TOPOLOGY, trial)
         g = WeightedGraph.from_edges(spec.n, build(spec.n, spec.p, rng))
@@ -191,7 +214,7 @@ def sample_frequencies(
         q = rng.choice(np.array([-1.0, 1.0]), size=n)
     else:
         raise ValueError(f"unknown distribution {distribution!r}")
-    return q - q.mean()
+    return q - q.sum() / n  # q.mean() bit for bit, minus its overhead
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +226,11 @@ class NominalNetwork:
 
 
 def nominal_network(spec: NominalNetworkSpec, sample: int = 0) -> NominalNetwork:
-    """Rejection-sample a (graph, omega) pair with margin < 1."""
+    """Rejection-sample a (graph, omega) pair with margin < 1.
+
+    Draws whose node-cut ratio proves margin >= 1 skip sync_margin (module
+    docstring); every other draw is decided by sync_margin.
+    """
     for trial in range(MAX_RETRIES):
         g = generate_graph(spec, sample=sample * MAX_RETRIES + trial)
         if spec.weighted:
@@ -213,6 +240,8 @@ def nominal_network(spec: NominalNetworkSpec, sample: int = 0) -> NominalNetwork
             substream(spec.seed, sample, _STAGE_FREQUENCIES, trial),
             alpha=spec.alpha,
         )
+        if node_cut_ratio(g, omega) >= 1.0 + CUT_SLACK:
+            continue
         margin = sync_margin(g, omega).margin
         if margin < 1.0:
             return NominalNetwork(graph=g, omega=omega, margin=margin, attempts=trial + 1)

@@ -17,6 +17,6 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     The same (seed, path) always yields an identical stream; any change in
     the path gives an unrelated stream.
     """
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(map(int, path)))
     return np.random.Generator(np.random.Philox(ss))
 

@@ -14,7 +14,8 @@ The module also evaluates the necessary degree conditions, the exact
 single-cycle feasibility test, and the minimum-infinity-norm certificate:
 the smallest ||psi||_inf over all flows with B diag(a) psi = omega, one
 sparse LP on the edge flows, whose excess over sin(gamma) rules out
-cohesive equilibria altogether.
+cohesive equilibria altogether.  node_cut_ratio is that certificate's
+cheapest lower bound, the worst single-node cut, with no solve.
 """
 
 from __future__ import annotations
@@ -58,9 +59,11 @@ def recenter_frequencies(omega) -> np.ndarray:
     left must be at most RECENTER_RTOL * max(1, max |omega_i|).
     """
     omega = np.asarray(omega, dtype=float)
-    centered = omega - omega.mean()
-    scale = max(1.0, float(np.max(np.abs(omega))) if omega.size else 1.0)
-    mean_after = centered.mean() if centered.size else 0.0
+    if not omega.size:
+        return omega.copy()
+    centered = omega - omega.sum() / omega.size  # omega.mean() bit for bit, minus its overhead
+    scale = max(1.0, float(abs(omega).max()))
+    mean_after = centered.sum() / centered.size
     if not abs(mean_after) <= RECENTER_RTOL * scale:
         raise NonZeroMeanFrequenciesError(f"residual mean {mean_after!r} after recentring")
     return centered
@@ -100,9 +103,29 @@ def sync_margin(g: WeightedGraph, omega) -> SyncAssessment:
     require_connected(g)
     omega = recenter_frequencies(omega)
     psi = edge_differences(g, solve_poisson(g, omega))
-    margin = float(np.max(np.abs(psi))) if g.m else 0.0
+    margin = float(abs(psi).max()) if g.m else 0.0
     gamma_pred = math.asin(margin) if margin <= 1.0 else None
     return SyncAssessment(margin=margin, gamma_pred=gamma_pred, psi_particular=psi, omega=omega)
+
+
+def node_cut_ratio(g: WeightedGraph, omega) -> float:
+    """Worst single-node cut ratio max_i |omega_i| / deg_i of a zero-sum omega.
+
+    A lower bound on the margin and on the min-norm certificate: every flow
+    psi with B diag(a) psi = omega (sync_margin's psi_particular is one)
+    moves omega_i through the edges at node i, so
+    |omega_i| <= deg_i ||psi||_inf.  This is Gale's cut bound
+    |omega(S)| / a(delta S) <= min ||psi||_inf for S = {i}.  omega is taken
+    as given, not recentred; scaling every weight by K divides the ratio
+    by K.  Costs one pass over the edges, no solve.
+    """
+    require_connected(g)
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != (g.n,):
+        raise DimensionMismatchError(f"expected length-{g.n} vector, got {omega.shape}")
+    if not g.m:
+        return 0.0
+    return float((abs(omega) / g.weighted_degrees()).max())
 
 
 def spectral_margin(bundle: LaplacianBundle, g: WeightedGraph, omega) -> float:

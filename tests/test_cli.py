@@ -256,8 +256,13 @@ OMEGA3 = "0.1\n0.2\n-0.3\n"
     ("simulate", {"net": json.dumps({"graph": json.loads(PATH3)})}, "network has no 'omega' field"),
     ("simulate", {"net": json.dumps({"graph": json.loads(PATH3), "omega": [0.1, 0.0, -0.1]})[:-5]},
      "net: not valid JSON"),
+    ("simulate", {"net": json.dumps({"graph": json.loads(PATH3), "omega": ["a", 1]})},
+     "network field 'omega' is not numeric"),
+    ("montecarlo", {"cells": json.dumps([{"n": 10, "model": "erg", "p": 0.3}])},
+     "cell 1 has no 'alpha' field"),
 ], ids=["self-loop", "negative-weight", "zero-damping", "omega-typo", "graph-without-n",
-        "csv-weight-typo", "truncated-graph", "net-without-omega", "truncated-net"])
+        "csv-weight-typo", "truncated-graph", "net-without-omega", "truncated-net",
+        "non-numeric-omega", "cell-without-alpha"])
 def test_cli_rejects_malformed_input_files(tmp_path, capsys, command, files, message):
     argv = [command, "--out", str(tmp_path / "out")]
     for flag, text in files.items():

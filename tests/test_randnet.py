@@ -6,6 +6,7 @@ import pytest
 from syncgrid.errors import ConnectivityRetryExceededError, InvalidSpecError, SyncgridError
 from syncgrid.graph import WeightedGraph, _Topology, is_connected
 from syncgrid.randnet import (
+    MAX_RETRIES,
     NominalNetworkSpec,
     generate_graph,
     nominal_network,
@@ -14,6 +15,7 @@ from syncgrid.randnet import (
 )
 from syncgrid.randnet import SMN_NEIGHBORS_PER_SIDE, _erg_edges, _smn_edges  # raw models
 from syncgrid.rng import substream
+from syncgrid.sync import node_cut_ratio, sync_margin
 
 
 def spec(**kw):
@@ -169,6 +171,40 @@ def test_nominal_network_builds_one_bfs_tree_per_draw(monkeypatch):
     assert nominal.attempts > 10
     assert len(topologies) == nominal.attempts  # every topology draw was connected
     assert len(builds) == nominal.attempts
+
+
+def _plain_nominal_network(nspec, sample=0):
+    """The rejection loop with every draw decided by sync_margin (no node-cut
+    pre-filter); returns (graph, omega, margin, attempts, cut-rejectable draws)."""
+    cut_rejectable = 0
+    for trial in range(MAX_RETRIES):
+        g = generate_graph(nspec, sample=sample * MAX_RETRIES + trial)
+        if nspec.weighted:
+            g = sample_weights(g, substream(nspec.seed, sample, 1, trial))
+        omega = sample_frequencies(nspec.n, nspec.distribution,
+                                   substream(nspec.seed, sample, 2, trial), alpha=nspec.alpha)
+        cut_rejectable += node_cut_ratio(g, omega) >= 1.0 + 1e-9
+        margin = sync_margin(g, omega).margin
+        if margin < 1.0:
+            return g, omega, margin, trial + 1, cut_rejectable
+    raise AssertionError("no accepted draw")
+
+
+@pytest.mark.parametrize("model, n, p, alpha", [("erg", 12, 0.3, 10.0), ("rgg", 12, 0.45, 9.0),
+                                                ("smn", 20, 0.2, 13.0)])
+def test_nominal_network_decisions_match_plain_rejection_loop(model, n, p, alpha):
+    # the node-cut pre-filter only skips draws that sync_margin rejects as well
+    skipped = 0
+    for seed in range(40):
+        s = spec(n=n, model=model, p=p, alpha=alpha, seed=seed)
+        g, omega, margin, attempts, cut_rejectable = _plain_nominal_network(s, sample=seed % 3)
+        nominal = nominal_network(s, sample=seed % 3)
+        assert nominal.graph == g
+        assert nominal.omega.tobytes() == omega.tobytes()
+        assert nominal.margin == margin
+        assert nominal.attempts == attempts
+        skipped += cut_rejectable
+    assert skipped > 0  # the pre-filter was exercised on this model
 
 
 def test_nominal_network_determinism():

@@ -29,6 +29,7 @@ from syncgrid.graph import (
     edge_differences,
 )
 from syncgrid.powerflow import build_oscillator_model, bundled_case
+from syncgrid.randnet import NominalNetworkSpec, generate_graph, sample_frequencies, sample_weights
 from syncgrid.rng import substream
 from syncgrid.sync import (
     Infeasible,
@@ -37,6 +38,7 @@ from syncgrid.sync import (
     cycle_sufficient_bound,
     min_infinity_norm_solution,
     necessary_conditions,
+    node_cut_ratio,
     single_cycle_feasibility,
     spectral_margin,
     sync_margin,
@@ -400,6 +402,37 @@ def test_min_norm_never_exceeds_margin_and_is_feasible(seed):
     assert result.norm <= a.margin + 1e-10
     defect = divergence(g, result.psi_star) - a.omega
     assert np.max(np.abs(defect)) <= 1e-8
+
+
+@pytest.mark.parametrize("model, p", [("erg", 0.3), ("smn", 0.2)])
+def test_node_cut_ratio_bounds_min_norm_and_margin(model, p):
+    # Gale's cut bound for S = {i}: |omega_i| / deg_i <= min ||psi||_inf <= margin
+    for seed in range(30):
+        n = 5 + seed % 26
+        spec = NominalNetworkSpec(n=n, model=model, p=p, alpha=8.0, seed=seed)
+        g = sample_weights(generate_graph(spec), seed)
+        omega = sample_frequencies(n, "width", seed, alpha=8.0)
+        ratio = node_cut_ratio(g, omega)
+        norm = min_infinity_norm_solution(g, omega).norm
+        assert ratio <= norm + 1e-9 <= sync_margin(g, omega).margin + 2e-9
+        for gain in (0.5, 3.0):
+            assert node_cut_ratio(g.scaled(gain), omega) == pytest.approx(ratio / gain, rel=1e-12)
+
+
+def test_node_cut_ratio_is_tight_on_a_star():
+    # on a tree the flow is unique: the edge to leaf i carries omega_i / a_i
+    g = WeightedGraph.from_edges(4, [(1, 2, 2.0), (1, 3, 1.0), (1, 4, 4.0)])
+    omega = np.array([-1.5, 1.0, 0.3, 0.2])
+    assert node_cut_ratio(g, omega) == pytest.approx(0.5, rel=1e-15)
+    assert sync_margin(g, omega).margin == pytest.approx(0.5, rel=1e-12)
+
+
+def test_node_cut_ratio_input_contract():
+    assert node_cut_ratio(WeightedGraph.from_edges(1, []), [0.0]) == 0.0
+    with pytest.raises(DimensionMismatchError):
+        node_cut_ratio(K3, [1.0, -1.0])
+    with pytest.raises(DisconnectedGraphError):
+        node_cut_ratio(WeightedGraph.from_edges(4, [(1, 2, 1.0), (3, 4, 1.0)]), np.zeros(4))
 
 
 def test_min_norm_certifies_nonexistence():
