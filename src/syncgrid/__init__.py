@@ -1,12 +1,7 @@
 """Synchronization analysis of coupled oscillator networks and power grids."""
 
 from .graph import (
-    CycleBasis,
-    LaplacianBundle,
     WeightedGraph,
-    build_laplacian,
-    connectivity_metrics,
-    cycle_basis,
     edge_differences,
     edge_infinity_norm,
     is_connected,
@@ -22,7 +17,6 @@ from .sync import (
     necessary_conditions,
     node_cut_ratio,
     single_cycle_feasibility,
-    spectral_margin,
     sync_margin,
 )
 from .equilibrium import (

@@ -398,7 +398,7 @@ def critical_coupling_search(
     """
     gamma = _check_gamma(gamma)
     if not np.allclose(g.weights, 1.0):
-        raise ValueError("critical coupling search expects a unit-weight graph")
+        raise InvalidSpecError("critical coupling search expects a unit-weight graph")
     omega = recenter_frequencies(omega)
     normalizer = sync_margin(g, omega).margin
     if normalizer < 1e-14:

@@ -10,7 +10,7 @@ class SyncgridError(Exception):
 # --- graph construction / topology ---
 
 class DegenerateGraphError(SyncgridError):
-    """Graph too small to analyze (n < 2)."""
+    """Graph with no nodes."""
 
 
 class DisconnectedGraphError(SyncgridError):

@@ -26,7 +26,8 @@ import numpy as np
 
 from .dynamics import critical_coupling_search
 from .equilibrium import solve_equilibrium
-from .errors import InvalidLevelError, NoConvergenceError, NoSyncInBracketError, SingularJacobianError
+from .errors import (InvalidLevelError, InvalidSpecError, NoConvergenceError, NoSyncInBracketError,
+                     SingularJacobianError)
 from .randnet import NominalNetworkSpec, generate_graph, nominal_network, sample_frequencies
 from .rng import substream
 
@@ -89,7 +90,7 @@ def hypothesis_experiment(spec: NominalNetworkSpec, samples: int) -> HypothesisR
     equilibrium within that cohesiveness (to 1e-4) is found.
     """
     if samples < 1:
-        raise ValueError("need at least one sample")
+        raise InvalidSpecError("need at least one sample")
     failures: list[int] = []
     for k in range(samples):
         nominal = nominal_network(spec, sample=k)

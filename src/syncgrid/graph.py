@@ -2,10 +2,11 @@
 
 A network is an undirected, connected, positively weighted graph.  Each
 edge carries a fixed orientation (source < sink, lexicographic) so that
-the incidence matrix B, the Laplacian L = B diag(a) B^T, its pseudoinverse,
-and the cycle space Ker(B) are all well defined and reproducible.  The
-incidence sign convention is +1 at the sink and -1 at the source, so
-(B^T x)_e = x_sink - x_source.
+the incidence operator B and the Laplacian L = B diag(a) B^T are well
+defined and reproducible.  The incidence sign convention is +1 at the sink
+and -1 at the source, so (B^T x)_e = x_sink - x_source.  Neither B nor the
+pseudoinverse L^dagger is ever formed: edge_differences and divergence
+apply B^T and B diag(a), and solve_poisson applies L^dagger to a vector.
 
 Results of the synchronization analysis are orientation invariant; the
 fixed convention only pins down signs in golden outputs.
@@ -18,8 +19,8 @@ over edge endpoints.  The coupling B diag(a) sin(B^T theta), which the
 flow-balance residual and every RK4 right-hand side evaluate, goes through
 one private kernel, _sine_coupling: the divergence of sin(B^T theta) with
 the input checks left to its callers, bit for bit the same.  A BFS tree
-from node 1 in edge order answers connectivity, closes the fundamental
-cycles and integrates edge angles into node angles.
+from node 1 in edge order answers connectivity, integrates edge angles into
+node angles and closes the one cycle of a cycle graph.
 
 Storage and reweighting.  A graph stores n and the edge arrays sources,
 sinks (0-based, read-only) and weights; the edges tuple is derived.  The
@@ -57,7 +58,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 from typing import NamedTuple
 
@@ -72,9 +73,6 @@ from .errors import (
     InvalidSpecError,
     ParseError,
 )
-
-# Relative tolerance for declaring a Laplacian eigenvalue zero.
-ZERO_EIGENVALUE_RTOL = 1e-9
 
 # Node count from which grounded systems are solved sparse (see the module
 # docstring).  Every golden input has at most 73 nodes and stays dense.
@@ -220,13 +218,6 @@ class WeightedGraph:
         return tuple(zip((self.sources + 1).tolist(), (self.sinks + 1).tolist(),
                          self.weights.tolist()))
 
-    def incidence(self) -> np.ndarray:
-        """Dense oriented incidence matrix B, shape (n, m)."""
-        b = np.zeros((self.n, self.m))
-        b[self.sources, np.arange(self.m)] = -1.0
-        b[self.sinks, np.arange(self.m)] = 1.0
-        return b
-
     def _node_sum(self, c: np.ndarray) -> np.ndarray:
         """|B| c: per node, the sum of c over the incident edges."""
         sums = np.bincount(self._topology.endpoints, np.concatenate([c, c]), self.n)
@@ -320,54 +311,13 @@ def _sine_coupling(g: WeightedGraph, theta: np.ndarray) -> np.ndarray:
 
 
 def is_connected(g: WeightedGraph) -> bool:
-    """True when the BFS tree reaches every node (independent of any spectral test)."""
+    """True when the BFS tree reaches every node."""
     return len(g.bfs_tree.order) == g.n
 
 
 def require_connected(g: WeightedGraph) -> None:
     if not is_connected(g):
         raise DisconnectedGraphError(f"graph with {g.n} nodes and {g.m} edges is not connected")
-
-
-@dataclass(frozen=True)
-class LaplacianBundle:
-    """Laplacian with spectrum and Moore-Penrose pseudoinverse.
-
-    eigenvalues are ascending; eigenvectors columns are orthonormal.  The
-    pseudoinverse inverts every eigenvalue except the structural zero.
-    """
-
-    L: np.ndarray
-    Ldagger: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def lambda2(self) -> float:
-        return float(self.eigenvalues[1])
-
-    @property
-    def lambda_n(self) -> float:
-        return float(self.eigenvalues[-1])
-
-
-def build_laplacian(g: WeightedGraph) -> LaplacianBundle:
-    """Eigendecompose L and assemble its pseudoinverse.
-
-    The zero eigenvalue is detected with relative tolerance
-    ZERO_EIGENVALUE_RTOL * lambda_n and inverted to 0.
-    """
-    if g.n < 2:
-        raise DegenerateGraphError("need at least two nodes")
-    require_connected(g)
-    lap = g.laplacian()
-    evals, evecs = np.linalg.eigh(lap)
-    lam_n = float(evals[-1])
-    inv = np.zeros_like(evals)
-    nonzero = np.abs(evals) > ZERO_EIGENVALUE_RTOL * max(lam_n, 1.0)
-    inv[nonzero] = 1.0 / evals[nonzero]
-    ldag = (evecs * inv) @ evecs.T
-    return LaplacianBundle(L=lap, Ldagger=ldag, eigenvalues=evals, eigenvectors=evecs)
 
 
 def symmetric_splu(a: sparse.csc_array, diag_pivot_thresh: float = 0.0):
@@ -406,75 +356,6 @@ def solve_poisson(g: WeightedGraph, x) -> np.ndarray:
         aug += 1.0 / n
         y = np.linalg.solve(aug, xc)
     return y - y.sum() / n
-
-
-@dataclass(frozen=True)
-class CycleBasis:
-    """Fundamental cycles of a spanning tree, as signed edge-space vectors.
-
-    vectors has shape (rank, m) with entries in {-1, 0, +1}; every row c
-    satisfies B c = 0.  rank = m - n + 1 for connected graphs.
-    """
-
-    vectors: np.ndarray
-    rank: int
-
-
-def cycle_basis(g: WeightedGraph) -> CycleBasis:
-    """Fundamental-cycle basis of Ker(B) over the BFS tree.
-
-    Each non-tree edge (chord) closes one cycle: the chord is traversed
-    source -> sink (+1) and the unique tree path sink -> source contributes
-    +-1 per edge according to traversal versus orientation.  The path is
-    found by climbing parents from both ends to their common ancestor.
-    Trees yield an empty basis.
-    """
-    require_connected(g)
-    _, parent, parent_edge, depth = g.bfs_tree
-    in_tree = np.zeros(g.m, dtype=bool)
-    in_tree[parent_edge[1:]] = True  # every non-root node, all reached
-    chords = np.flatnonzero(~in_tree)
-    vectors = np.zeros((len(chords), g.m))
-    for row, k in enumerate(chords):
-        vectors[row, k] = 1.0
-        u, v = int(g.sinks[k]), int(g.sources[k])  # walk u -> v along the tree
-        while u != v:
-            if depth[u] >= depth[v]:  # step up from u: +1 when leaving an edge's source
-                ke = parent_edge[u]
-                vectors[row, ke] = 1.0 if g.sources[ke] == u else -1.0
-                u = parent[u]
-            else:  # step down into v: +1 when entering an edge's sink
-                ke = parent_edge[v]
-                vectors[row, ke] = 1.0 if g.sinks[ke] == v else -1.0
-                v = parent[v]
-    return CycleBasis(vectors=vectors, rank=len(chords))
-
-
-@dataclass(frozen=True)
-class ConnectivityMetrics:
-    """Spectral and resistive connectivity summary."""
-
-    lambda2: float
-    lambda_n: float
-    max_degree: float
-    Ldagger: np.ndarray
-
-    def effective_resistance(self, i: int, j: int) -> float:
-        """R_ij = Ldag_ii + Ldag_jj - 2 Ldag_ij (1-based node ids)."""
-        a, b = i - 1, j - 1
-        return float(self.Ldagger[a, a] + self.Ldagger[b, b] - 2.0 * self.Ldagger[a, b])
-
-
-def connectivity_metrics(g: WeightedGraph, bundle: LaplacianBundle | None = None) -> ConnectivityMetrics:
-    """Algebraic connectivity, spectral radius, weighted max degree and R_ij."""
-    if bundle is None:
-        bundle = build_laplacian(g)
-    return ConnectivityMetrics(
-        lambda2=bundle.lambda2,
-        lambda_n=bundle.lambda_n,
-        max_degree=float(np.max(g.weighted_degrees())),
-        Ldagger=bundle.Ldagger,
-    )
 
 
 def is_tree(g: WeightedGraph) -> bool:

@@ -36,9 +36,7 @@ from .errors import (
     NotAcyclicError,
 )
 from .graph import (
-    LaplacianBundle,
     WeightedGraph,
-    cycle_basis,
     edge_differences,
     is_single_cycle,
     is_tree,
@@ -97,8 +95,8 @@ class SyncAssessment:
 def sync_margin(g: WeightedGraph, omega) -> SyncAssessment:
     """Evaluate the synchronization margin ||B^T Ldag omega||_inf.
 
-    Frequencies are recentred automatically.  Uses a sparse-friendly linear
-    solve instead of the dense pseudoinverse.
+    Frequencies are recentred automatically.  Ldag omega comes from
+    solve_poisson; no pseudoinverse is formed.
     """
     require_connected(g)
     omega = recenter_frequencies(omega)
@@ -126,20 +124,6 @@ def node_cut_ratio(g: WeightedGraph, omega) -> float:
     if not g.m:
         return 0.0
     return float((abs(omega) / g.weighted_degrees()).max())
-
-
-def spectral_margin(bundle: LaplacianBundle, g: WeightedGraph, omega) -> float:
-    """Margin computed through the Laplacian modes.
-
-    Projects omega on the eigenvectors, weights by inverse eigenvalues
-    (zero mode discarded) and takes the worst edge difference.  Must agree
-    with sync_margin to numerical precision; kept as an independent route.
-    """
-    omega = recenter_frequencies(omega)
-    inv = np.zeros_like(bundle.eigenvalues)
-    inv[1:] = 1.0 / bundle.eigenvalues[1:]
-    weighted = bundle.eigenvectors @ (inv * (bundle.eigenvectors.T @ omega))
-    return float(np.max(np.abs(edge_differences(g, weighted)))) if g.m else 0.0
 
 
 @dataclass(frozen=True)
@@ -233,6 +217,31 @@ def acyclic_equilibrium(g: WeightedGraph, omega, gamma: float) -> EquilibriumSol
     return _equilibrium_from_psi(g, assessment.omega, assessment.psi_particular)
 
 
+def _cycle_vector(g: WeightedGraph) -> np.ndarray:
+    """The signed cycle vector c of a single-cycle graph: B c = 0, entries +-1.
+
+    The BFS tree misses one edge, the chord; c is +1 on it (source -> sink)
+    and follows the tree path back from its sink to its source, +1 where the
+    path runs along an edge's orientation.  The path is found by climbing
+    parents from both ends to their common ancestor.
+    """
+    _, parent, parent_edge, depth = g.bfs_tree
+    (k,) = np.setdiff1d(np.arange(g.m), parent_edge[1:])
+    c = np.zeros(g.m)
+    c[k] = 1.0
+    u, v = int(g.sinks[k]), int(g.sources[k])  # walk u -> v along the tree
+    while u != v:
+        if depth[u] >= depth[v]:  # step up from u: +1 when leaving an edge's source
+            e = parent_edge[u]
+            c[e] = 1.0 if g.sources[e] == u else -1.0
+            u = parent[u]
+        else:  # step down into v: +1 when entering an edge's sink
+            e = parent_edge[v]
+            c[e] = 1.0 if g.sinks[e] == v else -1.0
+            v = parent[v]
+    return c
+
+
 @dataclass(frozen=True)
 class CycleFeasibility:
     """Outcome of the exact single-cycle test.
@@ -270,7 +279,7 @@ def single_cycle_feasibility(g: WeightedGraph, omega, gamma: float) -> CycleFeas
 
     assessment = sync_margin(g, omega)
     x = assessment.psi_particular
-    c = cycle_basis(g).vectors[0]
+    c = _cycle_vector(g)
     x_aligned = c * x
     slopes = 1.0 / g.weights  # d psi~ / d lambda, all positive
 

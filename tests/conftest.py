@@ -1,4 +1,4 @@
-"""Shared generators for randomized tests."""
+"""Shared generators for randomized tests and dense numpy reference operators."""
 
 from __future__ import annotations
 
@@ -63,6 +63,26 @@ def random_zero_mean(seed: int, n: int, scale: float = 1.0) -> np.ndarray:
     rng = substream(seed, 636363)
     omega = rng.uniform(-scale, scale, n)
     return omega - omega.mean()
+
+
+def incidence(g: WeightedGraph) -> np.ndarray:
+    """Dense oriented incidence matrix B (n x m): -1 at each source, +1 at each sink."""
+    return np.eye(g.n)[:, g.sinks] - np.eye(g.n)[:, g.sources]
+
+
+def pseudoinverse(g: WeightedGraph) -> np.ndarray:
+    """Laplacian pseudoinverse by eigh, the zero mode of a connected graph dropped."""
+    lam, v = np.linalg.eigh(g.laplacian())
+    return (v[:, 1:] / lam[1:]) @ v[:, 1:].T
+
+
+def fundamental_cycles(g: WeightedGraph) -> np.ndarray:
+    """Signed fundamental cycles of the BFS tree in ker B: a row per chord, +1 on it, no -0.0."""
+    b, tree = incidence(g), g.bfs_tree.parent_edge[1:]
+    chords = np.setdiff1d(np.arange(g.m), tree)
+    c = np.eye(g.m)[chords]
+    c[:, tree] = 0.0 - np.rint(np.linalg.lstsq(b[:, tree], b[:, chords], rcond=None)[0]).T
+    return c
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

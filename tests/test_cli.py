@@ -260,9 +260,11 @@ OMEGA3 = "0.1\n0.2\n-0.3\n"
      "network field 'omega' is not numeric"),
     ("montecarlo", {"cells": json.dumps([{"n": 10, "model": "erg", "p": 0.3}])},
      "cell 1 has no 'alpha' field"),
+    ("kcritical", {"graph": json.dumps({"n": 3, "edges": [[1, 2, 2.0], [2, 3, 1.0]]}),
+                   "omega": OMEGA3}, "critical coupling search expects a unit-weight graph"),
 ], ids=["self-loop", "negative-weight", "zero-damping", "omega-typo", "graph-without-n",
         "csv-weight-typo", "truncated-graph", "net-without-omega", "truncated-net",
-        "non-numeric-omega", "cell-without-alpha"])
+        "non-numeric-omega", "cell-without-alpha", "weighted-kcritical-graph"])
 def test_cli_rejects_malformed_input_files(tmp_path, capsys, command, files, message):
     argv = [command, "--out", str(tmp_path / "out")]
     for flag, text in files.items():
@@ -272,6 +274,25 @@ def test_cli_rejects_malformed_input_files(tmp_path, capsys, command, files, mes
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("flag", ["graph", "cells"])
+def test_cli_reports_missing_input_files(tmp_path, capsys, omega_file, flag):
+    missing = str(tmp_path / "missing.json")
+    argv = (["analyze", "--graph", missing, "--omega", omega_file] if flag == "graph"
+            else ["montecarlo", "--cells", missing, "--out", str(tmp_path / "t.csv")])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err and missing in err
+
+
+def test_montecarlo_rejects_zero_samples(tmp_path, capsys):
+    cells = tmp_path / "cells.json"
+    cells.write_text(json.dumps([{"n": 10, "model": "erg", "p": 0.3, "alpha": 8.0}]))
+    code = main(["montecarlo", "--cells", str(cells), "--samples", "0",
+                 "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: need at least one sample\n"
 
 
 def test_gen_rejects_out_of_range_p(capsys):

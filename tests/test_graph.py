@@ -1,4 +1,4 @@
-"""Graph primitives: Laplacian, pseudoinverse, cycle space, metrics."""
+"""Graph primitives: construction, node and edge operators, Poisson solves, I/O."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_graph, random_connected_graph, random_tree, random_zero_mean
+from conftest import incidence, pseudoinverse, random_connected_graph, random_zero_mean
 from syncgrid.errors import (
     DegenerateGraphError,
     DimensionMismatchError,
@@ -16,9 +16,6 @@ from syncgrid.errors import (
 from syncgrid.graph import (
     WeightedGraph,
     _sine_coupling,
-    build_laplacian,
-    connectivity_metrics,
-    cycle_basis,
     divergence,
     edge_differences,
     edge_infinity_norm,
@@ -35,17 +32,15 @@ def test_single_edge_closed_form_pseudoinverse():
     # 2x2 oracle: L = [[a,-a],[-a,a]], Ldag = (1/(4a)) [[1,-1],[-1,1]]
     a = 2.0
     g = WeightedGraph.from_edges(2, [(1, 2, a)])
-    bundle = build_laplacian(g)
-    assert np.allclose(bundle.L, [[a, -a], [-a, a]])
+    assert np.allclose(g.laplacian(), [[a, -a], [-a, a]])
     oracle = np.array([[1.0, -1.0], [-1.0, 1.0]]) / (4.0 * a)
-    assert np.allclose(bundle.Ldagger, oracle, atol=1e-14)
+    assert np.allclose([solve_poisson(g, e) for e in np.eye(2)], oracle, atol=1e-14)
 
 
 def test_triangle_spectrum():
     g = WeightedGraph.from_edges(3, [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
-    bundle = build_laplacian(g)
-    assert np.allclose(bundle.L, 3.0 * np.eye(3) - np.ones((3, 3)))
-    assert np.allclose(bundle.eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
+    assert np.allclose(g.laplacian(), 3.0 * np.eye(3) - np.ones((3, 3)))
+    assert np.allclose(np.linalg.eigvalsh(g.laplacian()), [0.0, 3.0, 3.0], atol=1e-12)
 
 
 def test_row_sums_vanish():
@@ -58,9 +53,9 @@ def test_row_sums_vanish():
 @given(st.integers(0, 10_000))
 def test_pseudoinverse_identity(seed):
     g = random_connected_graph(seed)
-    bundle = build_laplacian(g)
+    ldag = np.column_stack([solve_poisson(g, e) for e in np.eye(g.n)])
     target = np.eye(g.n) - np.ones((g.n, g.n)) / g.n
-    assert np.max(np.abs(bundle.L @ bundle.Ldagger - target)) <= 1e-9
+    assert np.max(np.abs(g.laplacian() @ ldag - target)) <= 1e-9
 
 
 @settings(max_examples=30, deadline=None)
@@ -68,8 +63,7 @@ def test_pseudoinverse_identity(seed):
 def test_solve_poisson_matches_pseudoinverse(seed):
     g = random_connected_graph(seed)
     x = random_zero_mean(seed, g.n)
-    bundle = build_laplacian(g)
-    assert np.allclose(solve_poisson(g, x), bundle.Ldagger @ x, atol=1e-10)
+    assert np.allclose(solve_poisson(g, x), pseudoinverse(g) @ x, atol=1e-10)
 
 
 def test_edge_infinity_norm_examples():
@@ -87,7 +81,7 @@ def test_edge_norm_equals_incidence_route(seed):
     g = random_connected_graph(seed)
     x = random_zero_mean(seed + 1, g.n, scale=3.0)
     direct = edge_infinity_norm(g, x)
-    via_b = float(np.max(np.abs(g.incidence().T @ x)))
+    via_b = float(np.max(np.abs(incidence(g).T @ x)))
     assert direct == via_b
 
 
@@ -99,7 +93,7 @@ def test_node_operators_equal_dense_incidence_products(seed):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=g.m)  # any edge vector, signs included
     psi = rng.normal(size=g.m)
-    b = g.incidence()
+    b = incidence(g)
     assert np.allclose(g.laplacian(c), b @ np.diag(c) @ b.T, rtol=0, atol=1e-12)
     assert np.allclose(g.laplacian(), b @ np.diag(g.weights) @ b.T, rtol=0, atol=1e-12)
     assert np.allclose(g.weighted_degrees(), np.abs(b) @ g.weights, rtol=0, atol=1e-12)
@@ -118,77 +112,6 @@ def test_edge_norm_dimension_mismatch():
         g.laplacian([1.0, 2.0])
 
 
-def test_cycle_basis_tree_is_empty():
-    t = random_tree(3)
-    basis = cycle_basis(t)
-    assert basis.rank == 0
-    assert basis.vectors.shape == (0, t.m)
-
-
-def test_cycle_basis_single_cycle_is_signed_ones():
-    g = cycle_graph(6)
-    basis = cycle_basis(g)
-    assert basis.rank == 1
-    c = basis.vectors[0]
-    assert set(np.abs(c)) == {1.0}
-    assert np.max(np.abs(g.incidence() @ c)) <= 1e-12
-
-
-def test_cycle_basis_k4_nullspace_oracle():
-    g = WeightedGraph.from_edges(4, [(1, 2, 1), (1, 3, 1), (1, 4, 1),
-                                     (2, 3, 1), (2, 4, 1), (3, 4, 1)])
-    basis = cycle_basis(g)
-    assert basis.rank == 3
-    b = g.incidence()
-    assert np.max(np.abs(b @ basis.vectors.T)) <= 1e-12
-    # independent null-space oracle via SVD rank factorization
-    from scipy.linalg import null_space
-    null = null_space(b)
-    assert null.shape[1] == 3
-    # basis vectors lie in the span of the SVD null space
-    proj = null @ (null.T @ basis.vectors.T)
-    assert np.max(np.abs(proj - basis.vectors.T)) <= 1e-10
-    assert np.linalg.matrix_rank(basis.vectors) == 3
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 10_000))
-def test_cycle_rank_identity(seed):
-    g = random_connected_graph(seed)
-    basis = cycle_basis(g)
-    assert basis.rank == g.m - g.n + 1
-    if basis.rank:
-        assert np.max(np.abs(g.incidence() @ basis.vectors.T)) <= 1e-12
-
-
-def test_connectivity_metrics_examples():
-    a = 2.5
-    g = WeightedGraph.from_edges(2, [(1, 2, a)])
-    metrics = connectivity_metrics(g)
-    assert metrics.effective_resistance(1, 2) == pytest.approx(1.0 / a, abs=1e-12)
-    assert metrics.effective_resistance(1, 1) == pytest.approx(0.0, abs=1e-15)
-
-    k3 = WeightedGraph.from_edges(3, [(1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
-    m3 = connectivity_metrics(k3)
-    assert m3.lambda2 == pytest.approx(3.0, abs=1e-9)
-    assert m3.lambda_n == pytest.approx(3.0, abs=1e-9)
-    assert m3.max_degree == pytest.approx(2.0)
-    for i in range(1, 4):
-        for j in range(i + 1, 4):
-            assert m3.effective_resistance(i, j) == pytest.approx(2 / 3, abs=1e-12)
-
-
-def test_resistance_symmetry():
-    g = random_connected_graph(11)
-    metrics = connectivity_metrics(g)
-    for i in range(1, g.n + 1):
-        assert metrics.effective_resistance(i, i) == pytest.approx(0.0, abs=1e-12)
-        for j in range(i + 1, g.n + 1):
-            rij = metrics.effective_resistance(i, j)
-            assert rij == pytest.approx(metrics.effective_resistance(j, i))
-            assert rij > 0
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_spectral_sufficient_and_necessary_sandwich(seed):
@@ -204,7 +127,7 @@ def test_spectral_sufficient_and_necessary_sandwich(seed):
     unit = g.with_weights(np.ones(g.m))
     spread_2 = float(np.linalg.norm(edge_differences(unit, omega)))
     if spread_2 > 0:
-        omega_scaled = omega * (build_laplacian(unit).lambda2 / spread_2)  # lambda2 == spread_2
+        omega_scaled = omega * (np.linalg.eigvalsh(unit.laplacian())[1] / spread_2)  # lambda2 == spread_2
         assert sync_margin(unit, omega_scaled).margin <= 1.0 + 1e-9
     spread = edge_infinity_norm(g, omega)
     margin = sync_margin(g, omega).margin
@@ -217,9 +140,9 @@ def test_connectivity_checks():
     disconnected = WeightedGraph.from_edges(4, [(1, 2, 1.0), (3, 4, 1.0)])
     assert not is_connected(disconnected)
     with pytest.raises(DisconnectedGraphError):
-        build_laplacian(disconnected)
+        solve_poisson(disconnected, np.zeros(4))
     with pytest.raises(DegenerateGraphError):
-        build_laplacian(WeightedGraph(1, ()))
+        WeightedGraph(0, ())
 
 
 def test_graph_validation():

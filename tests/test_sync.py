@@ -8,8 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conftest import count_calls, cycle_graph, random_connected_graph, random_tree, random_zero_mean
-from syncgrid import graph
+from conftest import (
+    count_calls,
+    cycle_graph,
+    fundamental_cycles,
+    pseudoinverse,
+    random_connected_graph,
+    random_tree,
+    random_zero_mean,
+)
+from syncgrid import graph, sync
 from syncgrid.equilibrium import fixed_point_residual, solve_equilibrium
 from syncgrid.errors import (
     DimensionMismatchError,
@@ -23,10 +31,9 @@ from syncgrid.errors import (
 from syncgrid.graph import (
     WeightedGraph,
     _sine_coupling,
-    build_laplacian,
-    cycle_basis,
     divergence,
     edge_differences,
+    edge_infinity_norm,
 )
 from syncgrid.powerflow import build_oscillator_model, bundled_case
 from syncgrid.randnet import NominalNetworkSpec, generate_graph, sample_frequencies, sample_weights
@@ -34,13 +41,13 @@ from syncgrid.rng import substream
 from syncgrid.sync import (
     Infeasible,
     NecessaryCheck,
+    _cycle_vector,
     acyclic_equilibrium,
     cycle_sufficient_bound,
     min_infinity_norm_solution,
     necessary_conditions,
     node_cut_ratio,
     single_cycle_feasibility,
-    spectral_margin,
     sync_margin,
 )
 
@@ -97,8 +104,8 @@ def test_margin_recenters_frequencies():
 def test_spectral_equals_direct(seed):
     g = random_connected_graph(seed)
     omega = random_zero_mean(seed + 9, g.n, scale=2.0)
-    bundle = build_laplacian(g)
-    assert abs(spectral_margin(bundle, g, omega) - sync_margin(g, omega).margin) <= 1e-10
+    spectral = edge_infinity_norm(g, pseudoinverse(g) @ omega)
+    assert abs(spectral - sync_margin(g, omega).margin) <= 1e-10
 
 
 @settings(max_examples=50, deadline=None)
@@ -127,18 +134,19 @@ def test_margin_invariant_under_relabelling(seed):
 
 
 def test_spectral_k3_example():
-    bundle = build_laplacian(K3)
-    assert spectral_margin(bundle, K3, [1.0, -1.0, 0.0]) == pytest.approx(2 / 3, abs=1e-12)
+    omega = np.array([1.0, -1.0, 0.0])
+    assert edge_infinity_norm(K3, pseudoinverse(K3) @ omega) == pytest.approx(2 / 3, abs=1e-12)
+    assert sync_margin(K3, omega).margin == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_margin_for_eigenvector_aligned_frequencies():
     g = random_connected_graph(21)
-    bundle = build_laplacian(g)
+    eigenvalues, eigenvectors = np.linalg.eigh(g.laplacian())
     k = g.n - 1  # top mode
-    u_k = bundle.eigenvectors[:, k]
+    u_k = eigenvectors[:, k]
     c = 0.7
     omega = c * u_k
-    expected = abs(c) / bundle.eigenvalues[k] * float(np.max(np.abs(edge_differences(g, u_k))))
+    expected = abs(c) / eigenvalues[k] * float(np.max(np.abs(edge_differences(g, u_k))))
     assert sync_margin(g, omega).margin == pytest.approx(expected, rel=1e-10)
 
 
@@ -289,9 +297,36 @@ def test_cycle_root_satisfies_cycle_constraint():
     result = single_cycle_feasibility(g, omega, math.pi / 2)
     assert result.feasible
     psi = np.sin(edge_differences(g, result.theta.theta))
-    residuals = cycle_basis(g).vectors @ np.arcsin(psi)
+    residuals = fundamental_cycles(g) @ np.arcsin(psi)
     assert np.max(np.abs(residuals)) <= 1e-10  # bisection root accuracy
     assert result.theta.residual <= 1e-9
+
+
+def test_cycle_vector_walks_the_one_cycle(monkeypatch):
+    # random weighted cycles with shuffled labels, so orientations vary edge by edge
+    outcomes = set()
+    for seed in range(150):
+        rng = substream(seed, 11)
+        n = int(rng.integers(3, 41))
+        label = rng.permutation(n) + 1
+        g = WeightedGraph.from_edges(n, [(label[k], label[(k + 1) % n], w)
+                                         for k, w in enumerate(rng.uniform(0.5, 5.0, n))])
+        c = _cycle_vector(g)
+        assert np.array_equal(np.abs(c), np.ones(n))
+        assert np.array_equal(divergence(g.with_weights(np.ones(n)), c), np.zeros(n))
+        assert np.array_equal(c, fundamental_cycles(g)[0])
+        omega = random_zero_mean(seed, n)
+        gamma = float(rng.uniform(0.2, math.pi / 2))
+        omega *= rng.uniform(0.3, 1.5) * math.sin(gamma) / sync_margin(g, omega).margin
+        got = single_cycle_feasibility(g, omega, gamma)
+        with monkeypatch.context() as patched:
+            patched.setattr(sync, "_cycle_vector", lambda h: fundamental_cycles(h)[0])
+            want = single_cycle_feasibility(g, omega, gamma)
+        assert (got.feasible, got.lambda_star) == (want.feasible, want.lambda_star)
+        if got.feasible:
+            assert np.array_equal(got.theta.theta, want.theta.theta)
+        outcomes.add(got.feasible)
+    assert outcomes == {True, False}
 
 
 def test_cycle_rejects_non_cycles():
@@ -341,7 +376,7 @@ def test_auxiliary_symmetric_cycle_zero_residual():
     g = cycle_graph(6)
     omega_nodes = np.array([0.25, -0.25, 0.25, -0.25, 0.25, -0.25])
     omega = g.laplacian() @ omega_nodes
-    res = cycle_basis(g).vectors @ np.arcsin(sync_margin(g, omega).psi_particular)
+    res = fundamental_cycles(g) @ np.arcsin(sync_margin(g, omega).psi_particular)
     assert np.max(np.abs(res)) <= 1e-12
 
 
@@ -353,7 +388,7 @@ def test_auxiliary_counterexample_residual_nonzero():
     g = cycle_graph(n)
     omega = alpha * np.concatenate([[1 + 1 / (n - 3), 0, -2, 1 - 1 / (n - 3)], np.zeros(n - 4)])
     psi_pt = sync_margin(g, omega).psi_particular
-    vectors = cycle_basis(g).vectors
+    vectors = fundamental_cycles(g)
     res = vectors @ np.arcsin(psi_pt)
     x_aligned = vectors[0] * psi_pt
     oracle = float(np.sum(np.arcsin(x_aligned)))
@@ -386,7 +421,7 @@ def test_min_norm_single_cycle_grid_oracle():
     omega = random_zero_mean(51, 6)
     result = min_infinity_norm_solution(g, omega)
     x = sync_margin(g, omega).psi_particular
-    h = cycle_basis(g).vectors[0] / g.weights
+    h = fundamental_cycles(g)[0] / g.weights
     grid = np.linspace(-20, 20, 2_000_001)
     oracle = np.min(np.max(np.abs(x[None, :] + grid[:, None] * h[None, :]), axis=1))
     assert result.norm <= oracle + 1e-9
@@ -452,16 +487,17 @@ def _linprog_min_norm(g: WeightedGraph, omega) -> float:
     """min ||psi||_inf over the cycle space, psi = psi_pt + diag(1/a) C^T mu,
     as a dense epigraph LP solved through linprog."""
     psi_pt = sync_margin(g, omega).psi_particular
-    basis = cycle_basis(g)
-    h_mat = (basis.vectors / g.weights).T
+    vectors = fundamental_cycles(g)
+    rank = len(vectors)
+    h_mat = (vectors / g.weights).T
     ones = np.ones((g.m, 1))
-    cost = np.zeros(basis.rank + 1)
+    cost = np.zeros(rank + 1)
     cost[-1] = 1.0
     result = linprog(cost, A_ub=np.block([[h_mat, -ones], [-h_mat, -ones]]),
                      b_ub=np.concatenate([-psi_pt, psi_pt]),
-                     bounds=[(None, None)] * basis.rank + [(0.0, None)], method="highs")
+                     bounds=[(None, None)] * rank + [(0.0, None)], method="highs")
     assert result.success
-    return float(np.max(np.abs(psi_pt + h_mat @ result.x[:basis.rank])))
+    return float(np.max(np.abs(psi_pt + h_mat @ result.x[:rank])))
 
 
 def _tiled_rts96(copies: int):
@@ -509,7 +545,7 @@ def test_min_norm_milp_matches_linprog():
 def test_min_norm_solves_no_poisson_system_and_builds_no_cycle_basis(monkeypatch):
     g = random_connected_graph(5, n_min=8, n_max=12, extra_edges=5)
     assert g.m > g.n - 1
-    bases = count_calls(monkeypatch, graph, "cycle_basis")
+    bases = count_calls(monkeypatch, sync, "_cycle_vector")
     solves = count_calls(monkeypatch, graph, "solve_poisson")
     min_infinity_norm_solution(g, random_zero_mean(5, g.n))
     assert bases == [] and solves == []
