@@ -232,6 +232,8 @@ def _cmd_contingency(args) -> int:
 def _cmd_montecarlo(args) -> int:
     with open(args.cells, "r", encoding="utf-8") as fh:
         cell_dicts = parse_json(fh.read(), args.cells)
+    if not isinstance(cell_dicts, list):
+        raise ParseError(f"{args.cells}: not a JSON list of cells")
     header = ["n", "model", "p", "alpha", "seed", "samples", "failures",
               "empirical_probability", "chernoff_epsilon_at_eta_0.01"]
     rows = []
@@ -239,10 +241,12 @@ def _cmd_montecarlo(args) -> int:
         what = f"cell {index}"
         n, model, p, alpha = (json_field(cell, key, what) for key in ("n", "model", "p", "alpha"))
         try:
-            n, p, alpha = int(n), float(p), float(alpha)
+            n, p, alpha = float(n), float(p), float(alpha)
         except (TypeError, ValueError):
             raise ParseError(f"{what}: n, p and alpha must be numbers") from None
-        spec = NominalNetworkSpec(n=n, model=model, p=p, alpha=alpha, distribution="width",
+        if not n.is_integer():
+            raise ParseError(f"{what}: n must be a whole number, got {n:g}")
+        spec = NominalNetworkSpec(n=int(n), model=model, p=p, alpha=alpha, distribution="width",
                                   weighted=True, seed=args.seed)
         result = experiments.hypothesis_experiment(spec, args.samples)
         rows.append([spec.n, spec.model, spec.p, spec.alpha, spec.seed,
@@ -253,11 +257,19 @@ def _cmd_montecarlo(args) -> int:
     return 0
 
 
+def _number_list(text: str, kind, option: str) -> list:
+    """The comma-separated values of an option, each converted by kind."""
+    try:
+        return [kind(s) for s in text.split(",")]
+    except ValueError:
+        raise InvalidSpecError(f"{option} {text!r} is not a list of {kind.__name__}s") from None
+
+
 def _cmd_accuracy(args) -> int:
     models = args.models.split(",")
     dists = args.dists.split(",")
-    sizes = [int(s) for s in args.sizes.split(",")]
-    ps = [float(p) for p in args.ps.split(",")]
+    sizes = _number_list(args.sizes, int, "--sizes")
+    ps = _number_list(args.ps, float, "--ps")
     header = ["model", "distribution", "n", "p", "seed", "samples", "mean_ratio"]
     rows = []
     for model in models:

@@ -16,12 +16,11 @@ B diag(a) sin(B^T theta) with no input checks, and divides the torque by
 the damping on every node at once (1.0 stands in on second-order nodes,
 whose theta_dot is their frequency, so zero damping there divides by
 nothing).  A first-order system returns that n-vector as it is.  The
-derivative at the end of a step, evaluated anyway when the step is
-recorded or tested for steadiness, is exactly the next step's k1 and is
-reused: a steady_tol run evaluates the right-hand side 4 times per step,
-not 5.  Every floating-point operation is the one the plain five-stage
-loop over divergence(g, sin(edge_differences(g, theta))) performs, in the
-same order, so trajectories are bit-identical to it;
+derivative at the end of each step is evaluated once, recorded or tested for
+steadiness and reused as the next step's k1: a run evaluates the right-hand
+side 4 times per step, plus once.  Every floating-point operation is the one
+the plain five-stage loop over divergence(g, sin(edge_differences(g, theta)))
+performs, in the same order, so trajectories are bit-identical to it;
 tests/test_dynamics.py keeps that loop as the reference.
 """
 
@@ -52,6 +51,7 @@ DEFAULT_STEP = 1e-3
 DEFAULT_T_END = 100.0
 RK4_STEP_SAFETY = 2.0  # RK4 admits about 2.8
 KCRITICAL_REL_TOL = 1e-3
+STEADY_WINDOW = 1.0  # time units ||theta_dot||_inf must stay below steady_tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,10 +107,10 @@ class OscillatorNetwork:
         return v2
 
     @classmethod
-    def first_order(cls, g: WeightedGraph, omega, damping: float | np.ndarray = 1.0) -> "OscillatorNetwork":
-        d = np.full(g.n, float(damping)) if np.isscalar(damping) else np.asarray(damping, dtype=float)
+    def first_order(cls, g: WeightedGraph, omega) -> "OscillatorNetwork":
+        """All nodes first order with unit damping."""
         return cls(graph=g, omega=np.asarray(omega, dtype=float),
-                   second_order=frozenset(), M=np.ones(g.n), D=d)
+                   second_order=frozenset(), M=np.ones(g.n), D=np.ones(g.n))
 
     @property
     def omega_sync(self) -> float:
@@ -161,7 +161,6 @@ def rk4_integrate(
     step: float,
     record_stride: int = 1,
     steady_tol: float | None = None,
-    steady_window: float = 1.0,
 ) -> Trajectory:
     """Raw fixed-step RK4 for the mixed-order system.
 
@@ -173,7 +172,7 @@ def rk4_integrate(
     last time is a whole multiple of step and can fall short of or beyond
     t_end (t_end=0.015, step=0.01 ends at 0.02).  When steady_tol is set,
     integration stops once ||theta_dot||_inf stayed below it throughout a
-    full window of steady_window time units.
+    full window of STEADY_WINDOW time units.  v2 is not read (v1's complement).
     """
     _check_steps(t_end, step, record_stride)
     n = g.n
@@ -202,40 +201,32 @@ def rk4_integrate(
     thetas = [y[:n].copy()]
     dots = [k1[:n]]
 
-    window_steps = max(1, int(round(steady_window / step)))
+    window_steps = max(1, int(round(STEADY_WINDOW / step)))
     window_max = 0.0
     in_window = 0
 
     for k in range(1, n_steps + 1):
-        if k1 is None:
-            k1 = rhs(y)
         k2 = rhs(y + half * k1)
         k3 = rhs(y + half * k2)
         k4 = rhs(y + step * k3)
         y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        k1 = None
         if not np.all(np.isfinite(y)):
             raise NonFiniteStateError(f"state diverged at t = {k * step:.6g}")
-        record = (k % record_stride == 0) or (k == n_steps)
-        if record or steady_tol is not None:
-            k1 = rhs(y)
-            dot = k1[:n]
-        if record:
-            times.append(k * step)
-            thetas.append(y[:n].copy())
-            dots.append(dot)
+        k1 = rhs(y)
+        dot = k1[:n]
+        steady = False
         if steady_tol is not None:
             window_max = max(window_max, float(np.max(np.abs(dot))))
             in_window += 1
             if in_window >= window_steps:
-                if window_max <= steady_tol:
-                    if not record:
-                        times.append(k * step)
-                        thetas.append(y[:n].copy())
-                        dots.append(dot)
-                    break
-                window_max = 0.0
-                in_window = 0
+                steady = window_max <= steady_tol
+                window_max, in_window = 0.0, 0
+        if steady or k % record_stride == 0 or k == n_steps:
+            times.append(k * step)
+            thetas.append(y[:n].copy())
+            dots.append(dot)
+        if steady:
+            break
 
     return Trajectory(
         times=np.array(times),
@@ -339,11 +330,6 @@ def quadratic_energy(net: OscillatorNetwork, theta) -> float:
     theta = np.asarray(theta, dtype=float)
     g = net.graph
     return float(0.5 * np.sum(g.weights * edge_differences(g, theta) ** 2) - net.omega @ theta)
-
-
-def kinetic_energy(net: OscillatorNetwork, theta_dot_v1) -> float:
-    v1 = net.v1_indices
-    return float(0.5 * np.sum(net.M[v1] * np.asarray(theta_dot_v1) ** 2))
 
 
 @dataclass(frozen=True)

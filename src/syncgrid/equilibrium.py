@@ -237,13 +237,12 @@ def solve_equilibrium(
     if theta0 is None:
         theta = solve_poisson(g, omega)
     else:
-        theta = np.array(theta0, dtype=float)
+        theta = np.asarray(theta0, dtype=float)
         if theta.shape != (g.n,):
             raise DimensionMismatchError(f"expected length-{g.n} theta0, got {theta.shape}")
         if not np.all(np.isfinite(theta)):
             raise NonFiniteInputError("theta0 has a non-finite entry")
-        theta = theta.copy()
-    theta = theta - theta[0]
+    theta = theta - theta[0]  # a new array: theta0 is never written
 
     residual = fixed_point_residual(g, omega, theta)
     res_norm = float(np.max(np.abs(residual)))

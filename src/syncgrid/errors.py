@@ -100,14 +100,6 @@ class InconsistentCaseError(SyncgridError):
     """Case references missing buses or violates schema constraints."""
 
 
-class NonLosslessCaseError(SyncgridError):
-    """Strict mode rejected a case with resistive branches."""
-
-
-class SingularSystemError(SyncgridError):
-    """Linear power-flow system is singular (disconnected network)."""
-
-
 class IslandingDetectedError(SyncgridError):
     """Contingency trips split the network."""
 

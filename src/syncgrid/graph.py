@@ -22,9 +22,10 @@ the input checks left to its callers, bit for bit the same.  A BFS tree
 from node 1 in edge order answers connectivity, integrates edge angles into
 node angles and closes the one cycle of a cycle graph.
 
-Storage and reweighting.  A graph stores n and the edge arrays sources,
-sinks (0-based, read-only) and weights; the edges tuple is derived.  The
-index arrays and what they alone determine (BFS tree, bincount indexes)
+Storage and reweighting.  WeightedGraph(n, edges) (or from_edges) orients
+and sorts its (i, j, weight) triples and stores n and the edge arrays
+sources, sinks (0-based, read-only) and weights; the edges tuple is derived.
+The index arrays and what they alone determine (BFS tree, bincount indexes)
 live in one private _Topology, whose constructor is the one vectorised
 check of an edge list; it locates and names the offending edge only after
 a check fails.  with_weights (and so scaled) checks only the new weights
@@ -100,7 +101,7 @@ def _valid_edges(n: int, ij: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _edge_error(n: int, ij: np.ndarray, w: np.ndarray) -> InvalidSpecError:
-    """The error naming the first edge that _valid_edges rejects."""
+    """The error naming the first edge that _valid_edges rejects; ij is sorted."""
     k = int(np.argmin(_valid_edges(n, ij, w)))
     a, b, wk = float(ij[0, k]), float(ij[1, k]), float(w[k])
     if not (a.is_integer() and b.is_integer()):
@@ -111,14 +112,10 @@ def _edge_error(n: int, ij: np.ndarray, w: np.ndarray) -> InvalidSpecError:
         return InvalidSpecError(f"self-loop on node {a}")
     if not (1 <= a <= n and 1 <= b <= n):
         return InvalidSpecError(f"edge ({a},{b}) outside node range 1..{n}")
-    if a > b:
-        return InvalidSpecError(f"edge ({a},{b}) not lexicographically oriented")
     if not 0 < wk < np.inf:
         kind = "non-positive" if wk <= 0 else "non-finite"
         return InvalidSpecError(f"edge ({a},{b}) has {kind} weight {wk}")
-    p, q = int(ij[0, k - 1]), int(ij[1, k - 1])
-    return InvalidSpecError(f"duplicate edge ({a},{b})" if (p, q) == (a, b)
-                            else f"edge ({a},{b}) out of order after ({p},{q})")
+    return InvalidSpecError(f"duplicate edge ({a},{b})")  # sorted: its key repeats the last
 
 
 class BFSTree(NamedTuple):
@@ -175,12 +172,16 @@ class WeightedGraph:
     Stored: n and, per edge sorted by (source, sink), the 0-based read-only
     intp arrays sources < sinks and the weights in (0, inf).  edges, the
     1-based (source, sink, weight) tuples, is derived; graphs are equal when
-    n and edges are.  WeightedGraph(n, edges) takes sorted, oriented edges.
+    n and edges are.  WeightedGraph(n, edges) orients and sorts (i, j, weight)
+    triples, given as a sequence or an (m, 3) array, with integral node ids.
     """
 
     def __init__(self, n: int, edges):
         a = _edge_triples(edges)
-        self._store(_Topology(n, a[:, :2].T.copy(), a[:, 2]), a[:, 2].copy())
+        ij = np.sort(a[:, :2], axis=1).T  # rows: the lower and the higher id of each edge
+        order = np.lexsort(ij[::-1])
+        w = a[:, 2].take(order)
+        self._store(_Topology(n, ij.take(order, axis=1), w), w)
 
     def _store(self, topology: _Topology, weights: np.ndarray) -> "WeightedGraph":
         vars(self).update(_topology=topology, n=topology.n, m=topology.m,
@@ -204,14 +205,8 @@ class WeightedGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "WeightedGraph":
-        """Build a graph from (i, j, weight) triples in any orientation and order, as a
-        sequence or an (m, 3) array; node ids must have integral values
-        (InvalidSpecError, a ValueError)."""
-        a = _edge_triples(edges)
-        ij = np.sort(a[:, :2], axis=1).T  # rows: the lower and the higher id of each edge
-        order = np.lexsort(ij[::-1])
-        w = a[:, 2].take(order)
-        return cls.__new__(cls)._store(_Topology(n, ij.take(order, axis=1), w), w)
+        """WeightedGraph(n, edges), under the name the random and case graphs are built by."""
+        return cls(n, edges)
 
     @cached_property
     def edges(self) -> tuple[tuple[int, int, float], ...]:
@@ -408,9 +403,3 @@ def load_graph(path: str) -> WeightedGraph:
     except (KeyError, TypeError, ValueError):
         raise ParseError(f"{path} line {rows.line_num}: not an edge i,j,weight") from None
     return WeightedGraph.from_edges(max((max(i, j) for i, j, _ in edges), default=0), edges)
-
-
-def save_graph(g: WeightedGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(g), fh, indent=1, sort_keys=True)
-        fh.write("\n")

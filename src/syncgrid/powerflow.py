@@ -28,7 +28,6 @@ a new case that builds its own network.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, replace
@@ -46,10 +45,8 @@ from .errors import (
     IslandingDetectedError,
     NoAdjustableSourcesError,
     NoConvergenceError,
-    NonLosslessCaseError,
     ParseError,
     SingularJacobianError,
-    SingularSystemError,
 )
 from .graph import WeightedGraph, edge_differences, is_connected, parse_json, solve_poisson
 from .rng import substream
@@ -126,12 +123,6 @@ class PowerCase:
     def bus_order(self) -> tuple[int, ...]:
         """Bus ids in node order (sorted); node k is bus_order[k-1]."""
         return tuple(sorted(b.id for b in self.buses))
-
-    def bus(self, bus_id: int) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise InconsistentCaseError(f"no bus {bus_id}")
 
     def injections_pu(self) -> np.ndarray:
         """Net real-power injection per node (generation minus load)."""
@@ -282,12 +273,11 @@ def _parse_matpower(text: str) -> PowerCase:
                      buses=tuple(buses), branches=tuple(branches))
 
 
-def parse_case(text: str, strict_lossless: bool = False) -> PowerCase:
+def parse_case(text: str) -> PowerCase:
     """Parse a case from JSON or MATPOWER-style text.
 
     Branch resistances are dropped (the model is lossless); the dropped
-    values are recorded as an approximation flag.  strict_lossless instead
-    rejects resistive cases outright.
+    values are recorded as an approximation flag.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -299,8 +289,6 @@ def parse_case(text: str, strict_lossless: bool = False) -> PowerCase:
 
     resistive = [br for br in case.branches if br.r != 0.0]
     if resistive:
-        if strict_lossless:
-            raise NonLosslessCaseError(f"{len(resistive)} branches have nonzero resistance")
         case = replace(
             case,
             branches=tuple(replace(br, r=0.0) for br in case.branches),
@@ -310,9 +298,9 @@ def parse_case(text: str, strict_lossless: bool = False) -> PowerCase:
     return case
 
 
-def load_case(path: str, strict_lossless: bool = False) -> PowerCase:
+def load_case(path: str) -> PowerCase:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_case(fh.read(), strict_lossless=strict_lossless)
+        return parse_case(fh.read())
 
 
 def bundled_case(name: str) -> PowerCase:
@@ -403,25 +391,25 @@ def dc_power_flow(case: PowerCase) -> DCFlowResult:
 
 
 def _dc_flow(net: OscillatorNetwork) -> DCFlowResult:
-    if not is_connected(net.graph):
-        raise SingularSystemError("case network is disconnected")
+    """The DC flow of net; solve_poisson raises DisconnectedGraphError on an islanded case."""
     delta = solve_poisson(net.graph, net.omega)
     delta = delta - delta[0]
     diffs = edge_differences(net.graph, delta)
     return DCFlowResult(delta=delta, max_angle_diff=float(np.max(np.abs(diffs))) if len(diffs) else 0.0)
 
 
-def ac_power_flow(case: PowerCase, gamma: float = math.pi / 2) -> EquilibriumSolution | Infeasible:
-    """Nonlinear power flow via Newton, seeded with the DC solution."""
+def ac_power_flow(case: PowerCase) -> EquilibriumSolution | Infeasible:
+    """Nonlinear power flow via Newton, seeded with the DC solution; Infeasible
+    (gamma pi/2) with the solver's reason when Newton fails."""
     net = build_oscillator_model(case)
-    return _ac_flow(net, _dc_flow(net), gamma)
+    return _ac_flow(net, _dc_flow(net))
 
 
-def _ac_flow(net: OscillatorNetwork, dc: DCFlowResult, gamma: float) -> EquilibriumSolution | Infeasible:
+def _ac_flow(net: OscillatorNetwork, dc: DCFlowResult) -> EquilibriumSolution | Infeasible:
     try:
         return solve_equilibrium(net.graph, net.omega, theta0=dc.delta)
     except (NoConvergenceError, SingularJacobianError) as exc:
-        return Infeasible(margin=dc.max_angle_diff, gamma=gamma, reason=str(exc))
+        return Infeasible(margin=dc.max_angle_diff, gamma=math.pi / 2, reason=str(exc))
 
 
 def scenario_sample(
@@ -438,7 +426,7 @@ def scenario_sample(
     dc = _dc_flow(net)
     if dc.max_angle_diff > 1.0:
         return dc.max_angle_diff, None, None
-    sol = _ac_flow(net, dc, math.pi / 2)
+    sol = _ac_flow(net, dc)
     cohesiveness = None if isinstance(sol, Infeasible) else sol.cohesiveness
     return dc.max_angle_diff, math.asin(dc.max_angle_diff), cohesiveness
 
@@ -648,12 +636,7 @@ def _first_crossing(loadings, values, a, b, level) -> float | None:
     return float(np.min(roots[roots > lo], initial=hi))
 
 
-def contingency_scan(
-    case: PowerCase,
-    trips: list[str],
-    ramp: RampSpec,
-    loadings=None,
-) -> ContingencyScan:
+def contingency_scan(case: PowerCase, trips: list[str], ramp: RampSpec, loadings) -> ContingencyScan:
     """Sweep the ramp loading after applying trips.
 
     Reports the margin and the worst thermal-line utilization (predicted
@@ -672,8 +655,6 @@ def contingency_scan(
     ramped buses.  loadings must be finite and strictly increasing
     (InvalidSpecError, a ValueError, otherwise).
     """
-    if loadings is None:
-        loadings = np.linspace(0.0, 1.0, 21)
     loadings = np.asarray(loadings, dtype=float)
     if loadings.ndim != 1 or not np.all(np.isfinite(loadings)):
         raise InvalidSpecError(f"loadings must be a finite 1-D sequence, got {loadings}")
@@ -713,31 +694,3 @@ def contingency_scan(
         binding_line=limited[int(np.argmax(line_utils[over[0]]))][1] if len(over) else None,
     )
 
-
-# --- serialization ---
-
-def case_to_dict(case: PowerCase) -> dict:
-    return {
-        "name": case.name,
-        "base_mva": case.base_mva,
-        "buses": [
-            {k: v for k, v in {
-                "id": b.id, "type": b.kind, "vm": b.vm, "pg": b.pg_mw, "pd": b.pd_mw,
-                "area": b.area, "M": b.inertia, "D": b.damping,
-            }.items() if v is not None}
-            for b in case.buses
-        ],
-        "branches": [
-            {k: v for k, v in {
-                "from": br.from_bus, "to": br.to_bus, "x": br.x, "r": br.r,
-                "rating": br.rating_mva, "angle_limit": br.angle_limit,
-            }.items() if v is not None}
-            for br in case.branches
-        ],
-    }
-
-
-def save_case(case: PowerCase, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(case_to_dict(case), fh, indent=1, sort_keys=True)
-        fh.write("\n")

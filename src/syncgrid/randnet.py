@@ -78,12 +78,17 @@ class NominalNetworkSpec:
         if not 0.0 <= self.p <= p_max:
             raise InvalidSpecError(
                 f"{self.model} coupling parameter p = {self.p} outside [0, {p_max}]")
-        if self.distribution not in ("width", "uniform", "bipolar"):
-            raise InvalidSpecError(f"unknown distribution {self.distribution!r}")
-        if self.distribution == "width" and (self.alpha is None or self.alpha <= 0):
-            raise InvalidSpecError("width distribution requires alpha > 0")
+        _check_distribution(self.distribution, self.alpha)
         if self.n < 2:
             raise InvalidSpecError("need n >= 2")
+
+
+def _check_distribution(distribution: str, alpha: float | None) -> None:
+    """InvalidSpecError for an unknown distribution or a width one without a finite alpha > 0."""
+    if distribution not in ("width", "uniform", "bipolar"):
+        raise InvalidSpecError(f"unknown distribution {distribution!r}")
+    if distribution == "width" and not (alpha is not None and 0 < alpha < np.inf):
+        raise InvalidSpecError(f"width distribution requires a finite alpha > 0, got {alpha}")
 
 
 def _erg_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -190,30 +195,26 @@ def generate_graph(spec: NominalNetworkSpec, sample: int = 0) -> WeightedGraph:
     )
 
 
-def sample_weights(g: WeightedGraph, seed: int | np.random.Generator) -> WeightedGraph:
-    """Assign i.i.d. uniform [0.5, 5] weights to the (sorted) edge list."""
-    rng = seed if isinstance(seed, np.random.Generator) else substream(int(seed), _STAGE_WEIGHTS)
+def sample_weights(g: WeightedGraph, rng: np.random.Generator) -> WeightedGraph:
+    """Assign i.i.d. uniform [0.5, 5] weights, drawn from rng, to the (sorted) edge list."""
     return g.with_weights(rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=g.m))
 
 
 def sample_frequencies(
-    n: int,
-    distribution: str,
-    seed: int | np.random.Generator,
-    alpha: float | None = None,
+    n: int, distribution: str, rng: np.random.Generator, alpha: float | None = None,
 ) -> np.ndarray:
-    """Draw natural frequencies and recentre them to exact zero mean."""
-    rng = seed if isinstance(seed, np.random.Generator) else substream(int(seed), _STAGE_FREQUENCIES)
+    """Draw natural frequencies from rng and recentre them to exact zero mean.
+
+    An unknown distribution, or "width" without a finite alpha > 0, is an
+    InvalidSpecError (a ValueError).
+    """
+    _check_distribution(distribution, alpha)
     if distribution == "width":
-        if alpha is None or alpha <= 0:
-            raise ValueError("width distribution requires alpha > 0")
         q = rng.uniform(-alpha / 2.0, alpha / 2.0, size=n)
     elif distribution == "uniform":
         q = rng.uniform(-1.0, 1.0, size=n)
-    elif distribution == "bipolar":
-        q = rng.choice(np.array([-1.0, 1.0]), size=n)
     else:
-        raise ValueError(f"unknown distribution {distribution!r}")
+        q = rng.choice(np.array([-1.0, 1.0]), size=n)
     return q - q.sum() / n  # q.mean() bit for bit, minus its overhead
 
 

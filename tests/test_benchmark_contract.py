@@ -39,3 +39,14 @@ def test_reference_item_passes_its_checks(name, index):
     problems = wl.check(state, inp, out, captured) + workloads.compare_reference(
         wl.summary(inp, out, captured), REFERENCE[name][str(index)])
     assert problems == []
+
+
+def test_tracer_hooks_every_traced_name_and_restores_it():
+    # perfbench/run.py --trace 1 enters a Tracer, which looks up each name in SPANNED
+    # and COUNTED: a library refactor that drops one raises AttributeError here
+    from syncgrid import equilibrium
+
+    jacobian = equilibrium.jacobian
+    with tracing.Tracer():
+        assert equilibrium.jacobian is not jacobian
+    assert equilibrium.jacobian is jacobian

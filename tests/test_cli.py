@@ -10,7 +10,7 @@ import pytest
 from conftest import count_calls
 from syncgrid import graph, powerflow
 from syncgrid.cli import main
-from syncgrid.graph import WeightedGraph, save_graph
+from syncgrid.graph import WeightedGraph, graph_to_dict
 
 RTS96 = str(resources.files("syncgrid").joinpath("data/rts96.json"))
 
@@ -19,7 +19,7 @@ RTS96 = str(resources.files("syncgrid").joinpath("data/rts96.json"))
 def graph_file(tmp_path):
     g = WeightedGraph.from_edges(3, [(1, 2, 2.0), (2, 3, 2.0), (1, 3, 2.0)])
     path = tmp_path / "g.json"
-    save_graph(g, str(path))
+    path.write_text(json.dumps(graph_to_dict(g)))
     return str(path)
 
 
@@ -99,7 +99,7 @@ def test_simulate_rejects_bad_step_contract(tmp_path, capsys, flag, value):
 
 def test_kcritical(tmp_path):
     g_path = tmp_path / "g2.json"
-    save_graph(WeightedGraph.from_edges(2, [(1, 2, 1.0)]), str(g_path))
+    g_path.write_text(json.dumps(graph_to_dict(WeightedGraph.from_edges(2, [(1, 2, 1.0)]))))
     w_path = tmp_path / "w2.csv"
     w_path.write_text("1.0\n-1.0\n")
     out = tmp_path / "k.json"
@@ -236,6 +236,7 @@ def test_cli_error_reporting(tmp_path, capsys):
 
 PATH3 = json.dumps({"n": 3, "edges": [[1, 2, 1.0], [2, 3, 1.0]]})
 OMEGA3 = "0.1\n0.2\n-0.3\n"
+CELL = {"n": 10, "model": "erg", "p": 0.3, "alpha": 8.0}
 
 
 @pytest.mark.parametrize("command, files, message", [
@@ -262,11 +263,22 @@ OMEGA3 = "0.1\n0.2\n-0.3\n"
      "cell 1 has no 'alpha' field"),
     ("kcritical", {"graph": json.dumps({"n": 3, "edges": [[1, 2, 2.0], [2, 3, 1.0]]}),
                    "omega": OMEGA3}, "critical coupling search expects a unit-weight graph"),
+    ("montecarlo", {"cells": "5"}, "cells: not a JSON list of cells"),
+    ("montecarlo", {"cells": json.dumps(CELL)}, "cells: not a JSON list of cells"),
+    ("montecarlo", {"cells": json.dumps([{**CELL, "n": 10.7}])}, "cell 1: n must be a whole number"),
+    ("montecarlo", {"cells": json.dumps([{**CELL, "alpha": "nan"}])}, "finite alpha > 0, got nan"),
+    # options, not files
+    ("gen --model erg --n 10 --p 0.5 --alpha nan", {}, "requires a finite alpha > 0, got nan"),
+    ("gen --model erg --n 10 --p 0.5 --alpha inf", {}, "requires a finite alpha > 0, got inf"),
+    ("accuracy --sizes x", {}, "--sizes 'x' is not a list of ints"),
+    ("accuracy --ps 0.2,abc", {}, "--ps '0.2,abc' is not a list of floats"),
 ], ids=["self-loop", "negative-weight", "zero-damping", "omega-typo", "graph-without-n",
         "csv-weight-typo", "truncated-graph", "net-without-omega", "truncated-net",
-        "non-numeric-omega", "cell-without-alpha", "weighted-kcritical-graph"])
+        "non-numeric-omega", "cell-without-alpha", "weighted-kcritical-graph",
+        "cells-not-a-list", "cells-an-object", "cell-fractional-n", "cell-nan-alpha",
+        "gen-nan-alpha", "gen-inf-alpha", "accuracy-bad-sizes", "accuracy-bad-ps"])
 def test_cli_rejects_malformed_input_files(tmp_path, capsys, command, files, message):
-    argv = [command, "--out", str(tmp_path / "out")]
+    argv = command.split() + ["--out", str(tmp_path / "out")]
     for flag, text in files.items():
         path = tmp_path / flag
         path.write_text(text)

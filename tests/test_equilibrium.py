@@ -82,6 +82,7 @@ def test_solve_zero_frequencies_phase_sync():
     sol = solve_equilibrium(g, np.zeros(g.n), theta0=theta0)
     assert sol.cohesiveness <= 1e-9
     assert sol.stable
+    assert np.array_equal(theta0, substream(71, 5).uniform(-0.05, 0.05, g.n))  # not written
 
 
 def test_solve_two_node_stable_branch():

@@ -107,11 +107,11 @@ def test_impossible_connectivity_raises():
 
 def test_weights_support_and_determinism():
     g = generate_graph(spec(model="erg", p=0.6, n=12, seed=3))
-    w1 = sample_weights(g, 99).weights
-    w2 = sample_weights(g, 99).weights
+    w1 = sample_weights(g, substream(99, 1)).weights
+    w2 = sample_weights(g, substream(99, 1)).weights
     assert np.array_equal(w1, w2)
     assert np.all(w1 >= 0.5) and np.all(w1 <= 5.0)
-    assert not np.array_equal(w1, sample_weights(g, 100).weights)
+    assert not np.array_equal(w1, sample_weights(g, substream(100, 1)).weights)
 
 
 def test_weight_mean_matches_uniform():
@@ -120,25 +120,25 @@ def test_weight_mean_matches_uniform():
     edges = [(i, j, 1.0) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     g = WeightedGraph.from_edges(n, edges)
     assert g.m >= 100_000
-    w = sample_weights(g, 7).weights
+    w = sample_weights(g, substream(7, 1)).weights
     assert abs(float(np.mean(w)) - 2.75) <= 0.02
 
 
 def test_frequencies_zero_mean():
     for dist, alpha in (("width", 6.0), ("uniform", None), ("bipolar", None)):
-        omega = sample_frequencies(25, dist, 11, alpha=alpha)
+        omega = sample_frequencies(25, dist, substream(11, 2), alpha=alpha)
         assert abs(float(np.sum(omega))) <= 1e-12
 
 
 def test_bipolar_two_nodes():
     for seed in range(20):
-        omega = sample_frequencies(2, "bipolar", seed)
+        omega = sample_frequencies(2, "bipolar", substream(seed, 2))
         if omega[0] != 0.0:
             assert sorted(omega) == [-1.0, 1.0]
 
 
 def test_width_support():
-    omega = sample_frequencies(2000, "width", 13, alpha=6.0)
+    omega = sample_frequencies(2000, "width", substream(13, 2), alpha=6.0)
     assert np.all(omega >= -6.0) and np.all(omega <= 6.0)
 
 
@@ -246,8 +246,13 @@ def test_nominal_cohesiveness_calibration():
 def test_spec_validation():
     with pytest.raises(ValueError):
         NominalNetworkSpec(n=10, model="bogus", p=0.5)
-    with pytest.raises(ValueError):
-        NominalNetworkSpec(n=10, model="erg", p=0.5, distribution="width", alpha=None)
+    for alpha in (None, 0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(InvalidSpecError, match="finite alpha > 0"):
+            NominalNetworkSpec(n=10, model="erg", p=0.5, distribution="width", alpha=alpha)
+        with pytest.raises(InvalidSpecError, match="finite alpha > 0"):
+            sample_frequencies(10, "width", substream(0, 2), alpha=alpha)
+    with pytest.raises(InvalidSpecError, match="unknown distribution"):
+        sample_frequencies(10, "gauss", substream(0, 2))
     with pytest.raises(ValueError):
         NominalNetworkSpec(n=1, model="erg", p=0.5, alpha=1.0)
     # p is a probability for erg/smn; only the rgg radius may exceed 1

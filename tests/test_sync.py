@@ -445,8 +445,8 @@ def test_node_cut_ratio_bounds_min_norm_and_margin(model, p):
     for seed in range(30):
         n = 5 + seed % 26
         spec = NominalNetworkSpec(n=n, model=model, p=p, alpha=8.0, seed=seed)
-        g = sample_weights(generate_graph(spec), seed)
-        omega = sample_frequencies(n, "width", seed, alpha=8.0)
+        g = sample_weights(generate_graph(spec), substream(seed, 1))
+        omega = sample_frequencies(n, "width", substream(seed, 2), alpha=8.0)
         ratio = node_cut_ratio(g, omega)
         norm = min_infinity_norm_solution(g, omega).norm
         assert ratio <= norm + 1e-9 <= sync_margin(g, omega).margin + 2e-9
