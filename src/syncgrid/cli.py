@@ -129,7 +129,7 @@ def _cmd_gen(args) -> int:
     spec = NominalNetworkSpec(
         n=args.n, model=args.model, p=args.p,
         alpha=args.alpha,
-        distribution="width" if args.alpha is not None else args.dist,
+        distribution="width" if args.alpha is not None else args.dist or "uniform",
         weighted=not args.unit_weights,
         seed=args.seed,
     )
@@ -325,8 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("erg", "rgg", "smn"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--dist", choices=("uniform", "bipolar"), default="uniform")
+    law = p.add_mutually_exclusive_group()
+    law.add_argument("--alpha", type=float, default=None,
+                     help="frequencies uniform on [-alpha/2, alpha/2]: the width law")
+    law.add_argument("--dist", choices=("uniform", "bipolar"), default=None,
+                     help="frequency law without --alpha (default uniform)")
     p.add_argument("--unit-weights", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sample", type=int, default=0)

@@ -58,7 +58,6 @@ class HypothesisResult:
     samples: int
     failures: int
     empirical_probability: float
-    tolerance_used: float
     failure_samples: tuple[int, ...] = ()
 
     @property
@@ -66,13 +65,19 @@ class HypothesisResult:
         return chernoff_epsilon(self.samples, 0.01)
 
 
+def _starting_points(n: int, gamma: float, seed: int):
+    """None (Newton's linear seed), then RANDOM_RESTARTS random angle vectors
+    inside the cohesive set, drawn from substream(seed, 7) only when asked for."""
+    yield None
+    rng = substream(seed, 7)
+    for _ in range(RANDOM_RESTARTS):
+        yield rng.uniform(-gamma / 2.0, gamma / 2.0, size=n)
+
+
 def _cohesive_solution_exists(g, omega, gamma: float, seed: int) -> bool:
     """Newton from the linear seed, then random restarts inside the
     cohesive set; only when all attempts miss is the sample a failure."""
-    seeds = [None]
-    rng = substream(seed, 7)
-    seeds.extend(rng.uniform(-gamma / 2.0, gamma / 2.0, size=g.n) for _ in range(RANDOM_RESTARTS))
-    for theta0 in seeds:
+    for theta0 in _starting_points(g.n, gamma, seed):
         try:
             sol = solve_equilibrium(g, omega, theta0=theta0, tol=SOLVE_TOLERANCE)
         except (NoConvergenceError, SingularJacobianError):
@@ -102,7 +107,6 @@ def hypothesis_experiment(spec: NominalNetworkSpec, samples: int) -> HypothesisR
         samples=samples,
         failures=len(failures),
         empirical_probability=(samples - len(failures)) / samples,
-        tolerance_used=COHESIVENESS_ACCURACY,
         failure_samples=tuple(failures),
     )
 

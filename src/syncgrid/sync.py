@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .equilibrium import EquilibriumSolution, _stable_by_factor, fixed_point_residual, phase_cohesiveness
 from .errors import (
@@ -355,6 +354,9 @@ def min_infinity_norm_solution(g: WeightedGraph, omega) -> MinNormSolution:
     if g.m == g.n - 1:
         psi_star = sync_margin(g, omega).psi_particular
         return MinNormSolution(psi_star=psi_star, norm=float(np.max(np.abs(psi_star), initial=0.0)))
+    # scipy.optimize is a large import that only the LP needs
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (g.n,):
         raise DimensionMismatchError(f"expected length-{g.n} vector, got {omega.shape}")

@@ -314,6 +314,26 @@ def test_gen_rejects_out_of_range_p(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_gen_rejects_alpha_with_dist(tmp_path, capsys):
+    # --alpha selects the width law, so a second law is a usage error, not ignored
+    gen = ["gen", "--model", "erg", "--n", "6", "--p", "0.9", "--seed", "1"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(gen + ["--alpha", "3", "--dist", "bipolar", "--out", str(tmp_path / "x.json")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --dist: not allowed with argument --alpha" in err
+    assert not (tmp_path / "x.json").exists()
+    with pytest.raises(SystemExit):
+        main(["gen", "--help"])
+    assert "the width law" in " ".join(capsys.readouterr().out.split())
+    # --dist alone still picks its law; neither option means uniform
+    for dist in (["--dist", "bipolar"], ["--dist", "uniform"], []):
+        out = tmp_path / f"net{len(dist)}{dist[-1:]}.json"
+        assert main(gen + dist + ["--out", str(out)]) == 0
+        levels = len(set(json.loads(out.read_text())["omega"]))  # bipolar: +-1 less the mean
+        assert levels <= 2 if dist[-1:] == ["bipolar"] else levels == 6
+
+
 def test_contingency_rejects_flat_loading_grid(tmp_path, capsys):
     # a zero maximum loading gives a grid that is not strictly increasing
     code = main(["contingency", "--case", RTS96, "--trip", "gen:323", "--ramp", "southeast",

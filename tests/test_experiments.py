@@ -4,9 +4,11 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from syncgrid.errors import InvalidLevelError
+import syncgrid.experiments as ex
+from syncgrid.errors import InvalidLevelError, NoConvergenceError
 from syncgrid.experiments import (
     AccuracyResult,
     accuracy_experiment,
@@ -16,7 +18,8 @@ from syncgrid.experiments import (
     write_report_json,
     write_rows_csv,
 )
-from syncgrid.randnet import NominalNetworkSpec
+from syncgrid.randnet import NominalNetworkSpec, nominal_network
+from syncgrid.rng import substream
 
 
 def test_chernoff_published_value():
@@ -59,7 +62,33 @@ def test_hypothesis_experiment_mostly_succeeds():
     spec = NominalNetworkSpec(n=10, model="erg", p=0.5, alpha=8.0, seed=2)
     result = hypothesis_experiment(spec, 60)
     assert result.empirical_probability >= 0.95
-    assert result.tolerance_used == 1e-4
+
+
+def test_restarts_are_drawn_only_after_a_miss(monkeypatch):
+    nominal = nominal_network(NominalNetworkSpec(n=10, model="erg", p=0.3, alpha=8.0, seed=5))
+    gamma = math.asin(nominal.margin)
+    streams = []
+
+    def recorded_substream(*key):
+        streams.append(key)
+        return substream(*key)
+
+    monkeypatch.setattr(ex, "substream", recorded_substream)
+    assert ex._cohesive_solution_exists(nominal.graph, nominal.omega, gamma, seed=77)
+    assert streams == []  # the linear seed decided: no restart stream opened
+    starts = []
+
+    def missing(g, omega, theta0=None, tol=None):
+        starts.append(theta0)
+        raise NoConvergenceError("forced miss")
+
+    monkeypatch.setattr(ex, "solve_equilibrium", missing)
+    assert not ex._cohesive_solution_exists(nominal.graph, nominal.omega, gamma, seed=77)
+    assert streams == [(77, 7)]
+    rng = substream(77, 7)
+    eager = [rng.uniform(-gamma / 2.0, gamma / 2.0, size=10) for _ in range(ex.RANDOM_RESTARTS)]
+    assert starts[0] is None and len(starts) == 1 + ex.RANDOM_RESTARTS
+    assert all(np.array_equal(a, b) for a, b in zip(starts[1:], eager))
 
 
 def test_accuracy_two_node_ratio_one():

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from syncgrid.errors import ConnectivityRetryExceededError, InvalidSpecError, SyncgridError
-from syncgrid.graph import WeightedGraph, _Topology, is_connected
+import syncgrid.randnet as rn
+from syncgrid.errors import (ConnectivityRetryExceededError, InvalidSpecError,
+                             MarginRetryExceededError, SyncgridError)
+from syncgrid.graph import WeightedGraph, is_connected
 from syncgrid.randnet import (
+    CUT_SLACK,
     MAX_RETRIES,
     NominalNetworkSpec,
     generate_graph,
@@ -13,7 +16,8 @@ from syncgrid.randnet import (
     sample_frequencies,
     sample_weights,
 )
-from syncgrid.randnet import SMN_NEIGHBORS_PER_SIDE, _erg_edges, _smn_edges  # raw models
+from syncgrid.randnet import SMN_NEIGHBORS_PER_SIDE, _EDGE_MODELS, _erg_edges, _smn_edges  # raw models
+from syncgrid.randnet import _node_sums, _stacked_margins  # the block sampler's stacked solve
 from syncgrid.rng import substream
 from syncgrid.sync import node_cut_ratio, sync_margin
 
@@ -96,7 +100,6 @@ def test_generated_graphs_are_connected():
 def test_impossible_connectivity_raises():
     with pytest.raises(ConnectivityRetryExceededError):
         # p = 0 ERG on 3+ nodes can never be connected; cap retries via seed
-        import syncgrid.randnet as rn
         old = rn.MAX_RETRIES
         rn.MAX_RETRIES = 50
         try:
@@ -151,34 +154,51 @@ def test_nominal_network_margin_below_one():
         assert nominal.attempts >= 1
 
 
-def test_nominal_network_builds_one_bfs_tree_per_draw(monkeypatch):
-    # the reweighted draw shares the BFS tree that generate_graph's connectivity test built
-    tree = _Topology.__dict__["bfs_tree"]
-    build, builds = tree.func, []
-    from_edges, topologies = WeightedGraph.from_edges.__func__, []
+def test_nominal_network_builds_graphs_only_for_candidates(monkeypatch):
+    # a WeightedGraph is built only for a trial that the node-cut filter and the
+    # stacked margin pass, and sync_margin decides each one, in trial order
+    graph, margin_of = rn.WeightedGraph, rn.sync_margin
+    built, decided = [], []
 
-    def counted_tree(g):
-        builds.append(None)
-        return build(g)
+    def counted_graph(n, edges):
+        built.append(graph(n, edges))
+        return built[-1]
 
-    def counted_from_edges(cls, n, edges):
-        topologies.append(None)
-        return from_edges(cls, n, edges)
+    def recorded_margin(g, omega):
+        assessment = margin_of(g, omega)
+        decided.append((g, assessment.margin))
+        return assessment
 
-    monkeypatch.setattr(tree, "func", counted_tree)
-    monkeypatch.setattr(WeightedGraph, "from_edges", classmethod(counted_from_edges))
-    nominal = nominal_network(spec(n=30, model="smn", p=0.2, alpha=13.0, seed=3))
-    assert nominal.attempts > 10
-    assert len(topologies) == nominal.attempts  # every topology draw was connected
-    assert len(builds) == nominal.attempts
+    monkeypatch.setattr(rn, "WeightedGraph", counted_graph)
+    monkeypatch.setattr(rn, "sync_margin", recorded_margin)
+    for seed in range(4):
+        built.clear()
+        decided.clear()
+        nominal = nominal_network(spec(n=30, model="smn", p=0.2, alpha=13.0, seed=seed))
+        assert nominal.attempts > 10
+        assert [g for g, _ in decided] == built
+        assert all(1.0 <= m < 1.0 + CUT_SLACK for _, m in decided[:-1])
+        assert decided[-1][1] == nominal.margin and nominal.graph is built[-1]
+        assert len(built) < nominal.attempts
+
+
+def _plain_generate_graph(nspec, sample):
+    """generate_graph as a loop over the (seed, sample, 0, trial) streams, one draw at a time."""
+    for trial in range(MAX_RETRIES):
+        rng = substream(nspec.seed, sample, 0, trial)
+        g = WeightedGraph(nspec.n, _EDGE_MODELS[nspec.model](nspec.n, nspec.p, rng))
+        if is_connected(g):
+            return g
+    raise ConnectivityRetryExceededError("no connected draw")
 
 
 def _plain_nominal_network(nspec, sample=0):
-    """The rejection loop with every draw decided by sync_margin (no node-cut
-    pre-filter); returns (graph, omega, margin, attempts, cut-rejectable draws)."""
+    """The rejection loop one trial at a time, every draw decided by sync_margin (no
+    blocks, no node-cut filter); returns (graph, omega, margin, attempts, cut-rejectable
+    draws)."""
     cut_rejectable = 0
     for trial in range(MAX_RETRIES):
-        g = generate_graph(nspec, sample=sample * MAX_RETRIES + trial)
+        g = _plain_generate_graph(nspec, sample * MAX_RETRIES + trial)
         if nspec.weighted:
             g = sample_weights(g, substream(nspec.seed, sample, 1, trial))
         omega = sample_frequencies(nspec.n, nspec.distribution,
@@ -190,13 +210,23 @@ def _plain_nominal_network(nspec, sample=0):
     raise AssertionError("no accepted draw")
 
 
-@pytest.mark.parametrize("model, n, p, alpha", [("erg", 12, 0.3, 10.0), ("rgg", 12, 0.45, 9.0),
-                                                ("smn", 20, 0.2, 13.0)])
-def test_nominal_network_decisions_match_plain_rejection_loop(model, n, p, alpha):
-    # the node-cut pre-filter only skips draws that sync_margin rejects as well
+@pytest.mark.parametrize("model, n, p, alpha, distribution, weighted", [
+    ("erg", 12, 0.3, 10.0, "width", True), ("rgg", 12, 0.45, 9.0, "width", True),
+    ("smn", 20, 0.2, 13.0, "width", True), ("erg", 10, 0.3, 8.0, "width", False),
+    ("smn", 12, 0.2, 5.0, "width", False), ("erg", 10, 0.3, None, "uniform", True),
+    ("rgg", 12, 0.3, None, "uniform", True), ("erg", 10, 0.35, None, "bipolar", True),
+    ("erg", 10, 0.25, None, "bipolar", False), ("rgg", 14, 0.3, None, "bipolar", True),
+], ids=["erg-12-0.3-10.0", "rgg-12-0.45-9.0", "smn-20-0.2-13.0", "erg-10-0.3-8.0-unit",
+        "smn-12-0.2-5.0-unit", "erg-10-0.3-uniform", "rgg-12-0.3-uniform", "erg-10-0.35-bipolar",
+        "erg-10-0.25-bipolar-unit", "rgg-14-0.3-bipolar"])
+def test_nominal_network_decisions_match_plain_rejection_loop(model, n, p, alpha, distribution,
+                                                              weighted):
+    # the blocks, the node-cut filter and the stacked margins only skip draws that
+    # sync_margin rejects as well
     skipped = 0
     for seed in range(40):
-        s = spec(n=n, model=model, p=p, alpha=alpha, seed=seed)
+        s = spec(n=n, model=model, p=p, alpha=alpha, distribution=distribution,
+                 weighted=weighted, seed=seed)
         g, omega, margin, attempts, cut_rejectable = _plain_nominal_network(s, sample=seed % 3)
         nominal = nominal_network(s, sample=seed % 3)
         assert nominal.graph == g
@@ -205,6 +235,71 @@ def test_nominal_network_decisions_match_plain_rejection_loop(model, n, p, alpha
         assert nominal.attempts == attempts
         skipped += cut_rejectable
     assert skipped > 0  # the pre-filter was exercised on this model
+
+
+@pytest.mark.parametrize("model, n, p", [("erg", 10, 0.3), ("erg", 8, 0.2), ("rgg", 12, 0.4),
+                                         ("smn", 30, 0.2)])
+def test_generate_graph_matches_plain_loop(model, n, p):
+    # erg on 8 nodes at p = 0.2 often needs redraws past the first key window;
+    # 2^32 + 5 takes a two-word stream path
+    for seed in range(30):
+        s = spec(n=n, model=model, p=p, seed=seed)
+        for sample in (0, 3, 2**32 + 5):
+            assert generate_graph(s, sample) == _plain_generate_graph(s, sample)
+
+
+def test_retry_errors_come_after_exactly_max_retries_trials(monkeypatch):
+    monkeypatch.setattr(rn, "MAX_RETRIES", 37)
+    build, calls = _EDGE_MODELS["erg"], []
+
+    def counted(n, p, rng):  # one call per topology draw
+        calls.append(None)
+        return build(n, p, rng)
+
+    monkeypatch.setitem(_EDGE_MODELS, "erg", counted)
+    # a complete graph is always connected, and this width never gives margin < 1
+    with pytest.raises(MarginRetryExceededError):
+        nominal_network(spec(n=6, model="erg", p=1.0, alpha=1000.0))
+    assert len(calls) == 37
+    # p = 0 on 4 nodes is never connected: the first trial uses up its draws
+    calls.clear()
+    with pytest.raises(ConnectivityRetryExceededError):
+        nominal_network(spec(n=4, model="erg", p=0.0))
+    assert len(calls) == 37
+    calls.clear()
+    with pytest.raises(ConnectivityRetryExceededError):
+        generate_graph(spec(n=4, model="erg", p=0.0), sample=5)
+    assert len(calls) == 37
+
+
+def test_stacked_margins_equal_sync_margin_bit_for_bit():
+    # weighted erg, rgg and smn draws with width, uniform and bipolar frequencies,
+    # 60 trials a stack, every seventh left out as the node-cut filter leaves trials out
+    cases = [("erg", 10, 0.3, "width", 8.0), ("erg", 20, 0.3, "uniform", None),
+             ("rgg", 12, 0.45, "width", 9.0), ("rgg", 16, 0.4, "bipolar", None),
+             ("smn", 30, 0.2, "width", 13.0), ("smn", 12, 0.3, "uniform", None)]
+    checked = 0
+    for case, (model, n, p, distribution, alpha) in enumerate(cases):
+        s = spec(n=n, model=model, p=p, distribution=distribution, alpha=alpha, seed=case)
+        for chunk in range(34):
+            samples = range(60 * chunk, 60 * chunk + 60)
+            graphs = [sample_weights(generate_graph(s, k), substream(case, k, 1)) for k in samples]
+            omegas = [sample_frequencies(n, distribution, substream(case, k, 2), alpha)
+                      for k in samples]
+            row = np.repeat(np.arange(len(graphs)), [g.m for g in graphs])
+            starts = np.concatenate([[0], np.cumsum([g.m for g in graphs])])
+            src, snk, weights = (np.concatenate([getattr(g, a) for g in graphs])
+                                 for a in ("sources", "sinks", "weights"))
+            degrees = _node_sums(n, row, src, snk, weights)
+            assert all(d.tobytes() == g.weighted_degrees().tobytes()
+                       for d, g in zip(degrees, graphs))
+            solve = np.arange(len(graphs)) % 7 != 3
+            margins = _stacked_margins(n, row, starts, src, snk, weights, degrees,
+                                       np.array(omegas), solve)
+            for g, omega, margin, solved in zip(graphs, omegas, margins.tolist(), solve):
+                assert margin == (sync_margin(g, omega).margin if solved else np.inf)
+                checked += solved
+    assert checked >= 10_000
 
 
 def test_nominal_network_determinism():
