@@ -24,6 +24,11 @@ generator trips and apply_ramp, return cases that share the parent's network
 as the same objects (_with_buses), so a study of one topology builds one graph
 and one BFS tree.  A branch trip, or any dataclasses.replace of a case, starts
 a new case that builds its own network.
+
+A case also keeps its oscillator model (PowerCase._model), which depends on
+the power at its buses too: build_oscillator_model builds it once per case
+object, so a study's model call, ac_power_flow and scenario_sample on one
+case share it.  No derived case inherits it; _with_buses drops it.
 """
 
 from __future__ import annotations
@@ -145,6 +150,28 @@ class PowerCase:
                 limits[(i, j)] = math.asin(min(1.0, entry["rating_pu"] / a))
         return _CaseNetwork(graph=graph, angle_limits=limits, node_of=node_of)
 
+    @cached_property
+    def _model(self) -> OscillatorNetwork:
+        """The case's oscillator model, built on first use (build_oscillator_model)."""
+        g = self._network.graph
+        buses = [None] * g.n
+        for b in self.buses:
+            buses[self._network.node_of[b.id]] = b
+        second = frozenset(k + 1 for k, b in enumerate(buses) if b.kind == "gen")
+        m = np.ones(g.n) * DEFAULT_INERTIA
+        d = np.empty(g.n)
+        for k, b in enumerate(buses):
+            if b.inertia is not None:
+                m[k] = b.inertia
+            d[k] = b.damping if b.damping is not None else (
+                GENERATOR_DAMPING if b.kind == "gen" else LOAD_DAMPING
+            )
+        net = rotating_frame(OscillatorNetwork(graph=g, omega=self.injections_pu(),
+                                               second_order=second, M=m, D=d))
+        for a in (net.omega, net.M, net.D):  # shared by every caller
+            a.flags.writeable = False
+        return net
+
 
 class _CaseNetwork(NamedTuple):
     """What a case's branches, bus ids and voltage magnitudes determine."""
@@ -162,6 +189,7 @@ def _with_buses(case: PowerCase, buses: tuple[Bus, ...]) -> PowerCase:
     """
     new = object.__new__(PowerCase)
     new.__dict__.update(case.__dict__, buses=buses, _network=case._network)
+    new.__dict__.pop("_model", None)  # the buses' powers differ
     return new
 
 
@@ -353,24 +381,12 @@ def build_oscillator_model(case: PowerCase) -> OscillatorNetwork:
 
     Generator buses become second-order nodes (defaults M = 1, D = 1);
     load buses are first order (default D = 0.1).  Injections are recentred
-    so the synchronization frequency is zero.
+    so the synchronization frequency is zero.  The model is built once per
+    case object and returned to every later call; its omega, M and D are
+    read-only.  A case from randomize_scenario, apply_trips, apply_ramp or
+    dataclasses.replace builds its own.
     """
-    g = case_graph(case)
-    node_of = case._network.node_of
-    buses = [None] * g.n
-    for b in case.buses:
-        buses[node_of[b.id]] = b
-    second = frozenset(k + 1 for k, b in enumerate(buses) if b.kind == "gen")
-    m = np.ones(g.n) * DEFAULT_INERTIA
-    d = np.empty(g.n)
-    for k, b in enumerate(buses):
-        if b.inertia is not None:
-            m[k] = b.inertia
-        d[k] = b.damping if b.damping is not None else (
-            GENERATOR_DAMPING if b.kind == "gen" else LOAD_DAMPING
-        )
-    net = OscillatorNetwork(graph=g, omega=case.injections_pu(), second_order=second, M=m, D=d)
-    return rotating_frame(net)
+    return case._model
 
 
 # --- power flow ---

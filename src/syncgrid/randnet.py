@@ -22,14 +22,20 @@ vectorised pass, the words numpy's SeedSequence would give: the seed's
 share of SeedSequence's hash is computed once per seed, and each path word
 is then one round of uint32 array operations over all the paths.  One
 rng.PhiloxStreams generator per call is re-keyed for each stream, so every
-draw is the one substream(seed, *path) gives.
+draw is the one substream(seed, *path) gives.  The small-world builder
+reads its streams as raw words (PhiloxStreams.words) and decodes its
+random() and integers() draws from them (rng.unit_floats, rng.WordDraws),
+bit for bit the draws a Generator on the same stream makes
+(tests/test_randnet.py keeps the one-call-at-a-time builder as the
+reference).
 
 Block sampler.  nominal_network decides its trials in blocks of 1, 2, 4, ...
 up to MAX_BLOCK trials.  Per block, one key pass covers every stream the
-block needs; each trial then calls its topology builder and its weight and
-frequency draws, and the block is filtered at once: edges oriented and
-sorted, connectivity by reachability from node 1 (a disconnected trial
-redraws at its next inner index, as generate_graph does), weighted degrees
+block needs; the topology builder draws every trial of the block in one
+call, each trial makes its weight and frequency draws, and the block is
+filtered at once: edges oriented and sorted, connectivity by reachability
+from node 1 (a disconnected trial redraws at its next inner index, as
+generate_graph does), weighted degrees
 and the node-cut ratio, and one stacked LAPACK solve of the augmented
 Laplacians L + 11^T/n of the trials the node-cut filter passes, assembled as
 WeightedGraph.laplacian() and solve_poisson assemble them.  The block is
@@ -66,7 +72,7 @@ import numpy as np
 
 from .errors import ConnectivityRetryExceededError, InvalidSpecError, MarginRetryExceededError
 from .graph import WeightedGraph
-from .rng import PhiloxStreams, philox_keys
+from .rng import PhiloxStreams, WordDraws, philox_keys, unit_floats
 from .sync import sync_margin
 
 MAX_RETRIES = 10_000
@@ -134,26 +140,32 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return iu, ju, rows
 
 
-def _erg_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+def _erg_edges(n: int, p: float, keys: np.ndarray, streams: PhiloxStreams) -> list[np.ndarray]:
+    """Per key, the pairs whose random() draw, one per pair in order, is below p."""
     rows = _pairs(n)[2]
-    return rows[rng.random(len(rows)) < p]
+    return [rows[streams.keyed(key).random(len(rows)) < p] for key in keys]
 
 
-def _rgg_edges(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    pts = rng.random((n, 2))
+def _rgg_edges(n: int, radius: float, keys: np.ndarray,
+               streams: PhiloxStreams) -> list[np.ndarray]:
+    """Per key, the pairs at most radius apart, of n points drawn as random((n, 2))."""
     iu, ju, rows = _pairs(n)
-    return rows[np.linalg.norm(pts[iu] - pts[ju], axis=1) <= radius]
+    out = []
+    for key in keys:
+        pts = streams.keyed(key).random((n, 2))
+        out.append(rows[np.linalg.norm(pts[iu] - pts[ju], axis=1) <= radius])
+    return out
 
 
 SMN_NEIGHBORS_PER_SIDE = 2  # canonical small-world base lattice (degree 4)
 
 
 @lru_cache(maxsize=None)
-def _smn_lattice(n: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray,
-                                  tuple[frozenset[int], ...]]:
+def _smn_lattice(n: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, tuple[int, ...]]:
     """Sorted (i, j), i < j, edges of the ring joining each node to its nearest
     neighbors, the same edges as a read-only (m, 3) array of unit-weight rows,
-    and the neighbor set of every node id (index 0 unused)."""
+    and the neighbors of every node id as a bit mask, bit j for node j (index 0
+    unused)."""
     present = set()
     for i in range(1, n + 1):
         for k in range(1, SMN_NEIGHBORS_PER_SIDE + 1):
@@ -163,15 +175,21 @@ def _smn_lattice(n: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray,
     pairs = tuple(sorted(present))
     rows = np.array([(i, j, 1.0) for i, j in pairs]).reshape(-1, 3)
     rows.flags.writeable = False
-    nbrs = [set() for _ in range(n + 1)]
+    nbrs = [0] * (n + 1)
     for i, j in pairs:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    return pairs, rows, tuple(frozenset(x) for x in nbrs)
+        nbrs[i] |= 1 << j
+        nbrs[j] |= 1 << i
+    return pairs, rows, tuple(nbrs)
 
 
-def _smn_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Small-world lattice with probabilistic rewiring, as (i, j, 1.0) rows.
+def _smn_words(m: int) -> int:
+    """Words prefetched per smn stream: m rewire tests and a 32-bit half for every
+    rewire, the whole draw unless a bounded draw is rejected."""
+    return -(-3 * m // 8) * 4
+
+
+def _smn_edges(n: int, p: float, keys: np.ndarray, streams: PhiloxStreams) -> list[np.ndarray]:
+    """Small-world lattices with probabilistic rewiring, as (i, j, 1.0) rows, one per key.
 
     The base ring couples every node to its nearest neighbors on each side
     (degree 4, the canonical small-world lattice: a degree-2 ring is so
@@ -180,39 +198,72 @@ def _smn_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     the other endpoint to a uniformly chosen non-neighbor; self-loops and
     duplicate edges are rejected by construction.
 
-    The sorted lattice and its neighbor sets are built once per n and
-    cached.  Lattice edges are visited in that order, each drawing
-    rng.random() and, when rewired, rng.integers(count) over the
-    non-neighbors of i in increasing id order; an i with no non-neighbor
-    keeps its edge.  Per-node neighbor sets make a rewire O(deg log deg),
-    from the sorted neighbors of i, instead of a scan of the whole edge set,
-    with the same draws.  Each lattice edge is rewired at most once, at its
-    visit, so a rewire sets j in its own row of the lattice array (j may
-    fall below i; WeightedGraph and the block sampler orient and sort).
+    A stream draws as a Generator would: lattice edges are visited in sorted
+    order, each drawing random() and, when it is below p, integers(count)
+    over the count non-neighbors of i in increasing id order; an i with no
+    non-neighbor keeps its edge.  Each lattice edge is rewired at most once,
+    at its visit, so a rewire sets j in its own row of the lattice array (j
+    may fall below i; WeightedGraph and the block sampler orient and sort).
+
+    The draws are decoded from raw words (rng.WordDraws).  One comparison
+    of the block's prefetched words with p gives every rewire test, and only
+    the rewired edges are walked (_rewired_edges).  Neighbor sets are bit
+    masks (bit j for node j), so count is a popcount and the chosen
+    non-neighbor a short fixed-point search.
     """
     lattice, rows, lattice_nbrs = _smn_lattice(n)
-    edges = rows.copy()
-    targets = edges[:, 1]
-    adj = list(map(set, lattice_nbrs))
-    random, integers = rng.random, rng.integers
-    for k in range(len(lattice)):
-        if random() >= p:
+    m = len(lattice)
+    words = streams.words(keys, _smn_words(m))
+    hits = np.flatnonzero(unit_floats(words) < p)
+    ends = np.searchsorted(hits, np.arange(1, len(keys) + 1) * words.shape[1]).tolist()
+    hits = (hits % words.shape[1]).tolist()
+    out, first = [], 0
+    for key, row_words, last in zip(keys, words.tolist(), ends):
+        edges = rows.copy()
+        out.append(edges)
+        draws = WordDraws(streams, key, row_words)
+        targets, adj = edges[:, 1], list(lattice_nbrs)
+        for k in _rewired_edges(draws, hits[first:last], m, p):
+            i, j = lattice[k]
+            near = adj[i] | 1 << i
+            count = n - near.bit_count()  # ids that are neither i nor a neighbor of i
+            if count == 0:
+                continue
+            rank = draws.integers(count) + 1
+            w = rank  # the free id of that rank: the least w = rank + (near ids up to w)
+            while (nxt := rank + (near & (2 << w) - 1).bit_count()) != w:
+                w = nxt
+            adj[i] ^= 1 << j | 1 << w
+            adj[j] ^= 1 << i
+            adj[w] |= 1 << i
+            targets[k] = w
+        first = last
+    return out
+
+
+def _rewired_edges(draws: WordDraws, tests: list[int], m: int, p: float):
+    """The lattice edges whose random() draw is below p, in visit order.
+
+    tests are the indices of the prefetched words below p.  Between two
+    rewires the stream's words are consecutive edge tests, so after the
+    caller's bounded draws the next rewired edge is at the next test that no
+    bounded draw has taken: edge k's test is word k + taken.  Past the
+    prefetched words the tests read on, one random() at a time.
+    """
+    prefetched, taken = len(draws.words), 0  # taken: words of bounded draws before the next test
+    for q in tests:
+        if q < draws.pos:
             continue
-        i, j = lattice[k]
-        nbrs = adj[i]
-        count = n - 1 - len(nbrs)  # ids that are neither i nor a neighbor of i
-        if count == 0:
-            continue
-        w = int(integers(count)) + 1  # step over the taken ids up to the chosen one
-        for x in sorted((i, *nbrs)):
-            if x <= w:
-                w += 1
-        nbrs.discard(j)
-        adj[j].discard(i)
-        nbrs.add(w)
-        adj[w].add(i)
-        targets[k] = w
-    return edges
+        k = q - taken
+        if k >= m:
+            return
+        draws.pos = q + 1
+        yield k
+        taken = draws.pos - k - 1
+    draws.pos = max(draws.pos, prefetched)
+    for k in range(draws.pos - taken, m):
+        if draws.random() < p:
+            yield k
 
 
 _EDGE_MODELS = {"erg": _erg_edges, "rgg": _rgg_edges, "smn": _smn_edges}
@@ -282,8 +333,7 @@ def _connected_topologies(spec: NominalNetworkSpec, samples: np.ndarray, keys: n
             keys = keys.reshape(len(pending), _TOPOLOGY_KEYS, 2)
         hi = min(hi, MAX_RETRIES)
         width, at = hi - lo, lo % _TOPOLOGY_KEYS
-        draws = [build(spec.n, spec.p, streams.keyed(key))
-                 for key in keys[:, at:at + width].reshape(-1, 2)]
+        draws = build(spec.n, spec.p, keys[:, at:at + width].reshape(-1, 2), streams)
         connected = _connected_draws(spec.n, draws).reshape(-1, width)
         hit = connected.any(axis=1)
         for r, k in zip(np.flatnonzero(hit).tolist(), connected.argmax(axis=1)[hit].tolist()):

@@ -19,6 +19,17 @@ each pool word.  The hash multipliers advance with every hash call and do
 not depend on the data.  So the seed's part of the pool is computed once per
 seed (_seed_pool, in Python integers), and each path word is then one round
 of uint32 array operations over all paths at once.
+
+Raw words.  PhiloxStreams.words reads the raw 64-bit words of many streams,
+one random_raw call per stream, and the draws are decoded from them as
+numpy's Generator decodes them: random() is (w >> 11) * 2^-53
+(unit_floats, any array of words at once), and integers(c) is Lemire's
+bounded method on 32-bit halves, a fresh word giving its low half first
+and keeping its high half for the next bounded draw (WordDraws, which
+reads on from the stream past the words it was given).  The decoding is
+numpy 2's: tests/test_rng.py checks it against Generator.random,
+Generator.integers and Generator.uniform on thousands of streams, so a
+numpy that changed it would fail there, not move a sample silently.
 """
 
 from __future__ import annotations
@@ -175,17 +186,115 @@ class PhiloxStreams:
     keyed(key) returns the generator at the start of the stream with that
     key, a row of philox_keys: the state of a Philox newly built from the
     stream's SeedSequence (counter 0, empty buffer, no cached 32-bit half).
+    words(keys, count, start) reads raw 64-bit words of many streams, one
+    random_raw call per stream.
     """
 
     def __init__(self):
         self._bitgen = np.random.Philox(_Unkeyed())
         self._generator = np.random.Generator(self._bitgen)
+        self._counter = np.zeros(4, np.uint64)
         self._state = {"bit_generator": "Philox",
-                       "state": {"counter": np.zeros(4, np.uint64), "key": None},
+                       "state": {"counter": self._counter, "key": None},
                        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
                        "has_uint32": 0, "uinteger": 0}
 
-    def keyed(self, key: np.ndarray) -> np.random.Generator:
+    def _seek(self, key: np.ndarray, start: int) -> None:
+        """Position the generator at word start (a multiple of 4) of key's stream.
+
+        Philox adds one to its counter before it enciphers the next four
+        words, so words 4c .. 4c + 3 follow counter c.
+        """
+        self._counter[0] = start // 4
         self._state["state"]["key"] = key
         self._bitgen.state = self._state
+
+    def keyed(self, key: np.ndarray) -> np.random.Generator:
+        self._seek(key, 0)
         return self._generator
+
+    def words(self, keys: np.ndarray, count: int, start: int = 0) -> np.ndarray:
+        """Raw words start .. start + count - 1 of the stream of every key, (R, count) uint64.
+
+        start is a multiple of 4.  Word w is the w-th next_uint64 of a
+        generator keyed(key): Generator.random() decodes it with unit_floats,
+        Generator.integers with WordDraws.integers.
+        """
+        out = np.empty((len(keys), count), np.uint64)
+        raw = self._bitgen.random_raw
+        for r, key in enumerate(keys):
+            self._seek(key, start)
+            out[r] = raw(count)
+        return out
+
+
+_UNIT, _SHIFT = 2.0 ** -53, np.uint64(11)
+
+
+def unit_floats(words: np.ndarray) -> np.ndarray:
+    """Generator.random() of each raw Philox word: its top 53 bits times 2^-53.
+
+    numpy's next_double, (w >> 11) * (1.0 / 9007199254740992.0); the integer
+    conversion and the power-of-two product are exact, so the bits are the same.
+    Generator.uniform(lo, hi) of a word is lo + (hi - lo) * unit_floats(word).
+    """
+    return (words >> _SHIFT).astype(np.float64) * _UNIT
+
+
+# Words WordDraws reads on at a time once its prefetched words are used up.
+_READ_ON = 16
+
+
+class WordDraws:
+    """Generator.random() and Generator.integers(c) of one stream, decoded from
+    its raw words in the order a generator keyed(key) would draw them.
+
+    words are the stream's first raw words (a list of ints, a multiple of 4
+    of them, as streams.words gives); a draw past them reads on from the
+    stream, _READ_ON words at a time.  pos is the index of the next unread
+    word: a caller that has decoded words itself, with unit_floats, moves pos
+    past them as the same random() calls would.
+
+    The decoding is numpy 2's (tests/test_rng.py pins it to Generator on
+    thousands of streams).  random() takes one fresh word.  integers(c) is
+    Lemire's bounded method on 32-bit halves: a half cached by the previous
+    bounded draw is used first, else a fresh word gives its low half and
+    keeps its high half; random() leaves a cached half in place.
+    """
+
+    __slots__ = ("_streams", "_key", "words", "pos", "_half")
+
+    def __init__(self, streams: PhiloxStreams, key: np.ndarray, words: list[int]):
+        self._streams, self._key = streams, key
+        self.words, self.pos, self._half = words, 0, None
+
+    def _word(self) -> int:
+        pos = self.pos
+        if pos == len(self.words):
+            self.words += self._streams.words(self._key[None], _READ_ON, pos)[0].tolist()
+        self.pos = pos + 1
+        return self.words[pos]
+
+    def random(self) -> float:
+        return (self._word() >> 11) * _UNIT
+
+    def integers(self, c: int) -> int:
+        """Generator.integers(c) for 1 <= c <= 2^32; c == 1 reads nothing."""
+        if c == 1:
+            return 0
+        threshold = None
+        while True:
+            half = self._half
+            if half is None:
+                word = self._word()
+                self._half, half = word >> 32, word & _M32
+            else:
+                self._half = None
+            m = half * c
+            low = m & _M32
+            if low >= c:
+                return m >> 32
+            if threshold is None:
+                threshold = (2 ** 32 - c) % c  # numpy's (UINT32_MAX - (c - 1)) % c, below c
+            if low >= threshold:
+                return m >> 32

@@ -544,3 +544,29 @@ def test_ramp_helper_matches_apply_ramp(mode):
         helper = powerflow._injections_pu(tripped, *powerflow._ramp_mw(tripped, ramp, s))
         assert np.array_equal(helper, ramped.injections_pu())
         assert helper.tolist() == scalar
+
+
+def test_case_keeps_one_oscillator_model():
+    # a repeat call returns the same model, read-only; every derived case, which
+    # may differ in the power at its buses, builds its own, equal to a fresh build
+    case = bundled_case("rts96")
+    net = build_oscillator_model(case)
+    assert build_oscillator_model(case) is net
+    assert ac_power_flow(case).theta.shape == net.omega.shape
+    for a in (net.omega, net.M, net.D):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    derived = [randomize_scenario(case, ScenarioConfig(seed=1), sample=0),
+               apply_trips(case, ["gen:323"]), apply_trips(case, ["branch:103-109"]),
+               apply_ramp(case, RTS_RAMP, 0.5), dataclasses.replace(case)]
+    for other in derived:
+        model = build_oscillator_model(other)
+        assert model is not net and build_oscillator_model(other) is model
+        fresh = build_oscillator_model(dataclasses.replace(other))
+        assert model.omega.tobytes() == fresh.omega.tobytes()
+        assert (model.M.tobytes(), model.D.tobytes()) == (fresh.M.tobytes(), fresh.D.tobytes())
+        assert model.second_order == fresh.second_order
+    for other in (derived[0], derived[1], derived[3]):  # new injections
+        assert not np.array_equal(build_oscillator_model(other).omega, net.omega)
+    assert build_oscillator_model(derived[2]).graph.m == net.graph.m - 1  # the branch trip
+    assert build_oscillator_model(case) is net

@@ -16,9 +16,10 @@ from syncgrid.randnet import (
     sample_frequencies,
     sample_weights,
 )
-from syncgrid.randnet import SMN_NEIGHBORS_PER_SIDE, _EDGE_MODELS, _erg_edges, _smn_edges  # raw models
+from syncgrid.randnet import (SMN_NEIGHBORS_PER_SIDE, _EDGE_MODELS, _erg_edges, _pairs,  # raw models
+                              _smn_edges, _smn_lattice)
 from syncgrid.randnet import _node_sums, _stacked_margins  # the block sampler's stacked solve
-from syncgrid.rng import substream
+from syncgrid.rng import PhiloxStreams, philox_keys, substream
 from syncgrid.sync import node_cut_ratio, sync_margin
 
 
@@ -79,15 +80,82 @@ def _smn_edges_reference(n: int, p: float, rng: np.random.Generator) -> list[tup
     return [(min(e), max(e), 1.0) for e in (tuple(s) for s in present)]
 
 
+def _scalar_smn_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """The small-world builder one Generator call at a time: each lattice edge in sorted
+    order draws rng.random() and, when rewired, rng.integers(count) over the non-neighbors
+    of i in increasing id order; _smn_edges must give these rows key for key."""
+    lattice, rows, _ = _smn_lattice(n)
+    edges = rows.copy()
+    adj = [set() for _ in range(n + 1)]
+    for i, j in lattice:
+        adj[i].add(j)
+        adj[j].add(i)
+    for k, (i, j) in enumerate(lattice):
+        if rng.random() >= p:
+            continue
+        nbrs = adj[i]
+        count = n - 1 - len(nbrs)
+        if count == 0:
+            continue
+        w = int(rng.integers(count)) + 1
+        for x in sorted((i, *nbrs)):
+            if x <= w:
+                w += 1
+        nbrs.discard(j)
+        adj[j].discard(i)
+        nbrs.add(w)
+        adj[w].add(i)
+        edges[k, 1] = w
+    return edges
+
+
+def _scalar_erg_edges(n, p, rng):
+    rows = _pairs(n)[2]
+    return rows[rng.random(len(rows)) < p]
+
+
+def _scalar_rgg_edges(n, radius, rng):
+    pts = rng.random((n, 2))
+    iu, ju, rows = _pairs(n)
+    return rows[np.linalg.norm(pts[iu] - pts[ju], axis=1) <= radius]
+
+
+_SCALAR_MODELS = {"erg": _scalar_erg_edges, "rgg": _scalar_rgg_edges, "smn": _scalar_smn_edges}
+
+
 def test_smn_edges_match_reference_sampler():
-    # n <= 5 covers the degenerate lattices: triangle, K4 and K5 leave no non-neighbor
+    # n <= 5 covers the degenerate lattices: triangle, K4 and K5 leave no non-neighbor;
+    # the 60 streams (seed, 1), one per seed, form one block
+    streams = PhiloxStreams()
     for n in (3, 4, 5, 6, 7, 10, 20, 30, 50):
         for p in (0.0, 0.1, 0.2, 0.5, 0.9, 1.0):
-            for seed in range(60):
-                got = _smn_edges(n, p, substream(seed, 1))
+            keys = np.concatenate([philox_keys(seed, [[1]]) for seed in range(60)])
+            for seed, got in enumerate(_smn_edges(n, p, keys, streams)):
                 want = _smn_edges_reference(n, p, substream(seed, 1))
                 rows = sorted((min(i, j), max(i, j), w) for i, j, w in got.tolist())
                 assert rows == sorted(want), (n, p, seed)
+
+
+@pytest.mark.parametrize("prefetch", [None, 4])
+def test_smn_block_matches_scalar_builder(monkeypatch, prefetch):
+    # 20,000 keyed draws in blocks of 1 and 32; n = 5 only meets count == 0 (K5) and
+    # n = 6 starts at count == 1, which reads no word.  With 4 prefetched words a
+    # stream reads its later tests and bounded draws on from the stream.
+    if prefetch is not None:
+        monkeypatch.setattr(rn, "_smn_words", lambda m: prefetch)
+    cases = [(3, .5), (4, .7), (5, .5), (6, 1.0), (7, .95), (10, .9), (20, .1), (30, 0.0),
+             (30, .2), (40, .6)]
+    streams = PhiloxStreams()
+    draws = 0
+    for case, (n, p) in enumerate(cases):
+        for block in (1, 32):
+            keys = philox_keys(case, np.arange(1000 if prefetch is None else 64)[:, None])
+            for at in range(0, len(keys), block):
+                got = _smn_edges(n, p, keys[at:at + block], streams)
+                for key, edges in zip(keys[at:at + block], got):
+                    assert edges.tobytes() == _scalar_smn_edges(n, p, streams.keyed(key)).tobytes()
+                    draws += 1
+    assert draws >= (20_000 if prefetch is None else 1_000)
 
 
 def test_generated_graphs_are_connected():
@@ -186,7 +254,7 @@ def _plain_generate_graph(nspec, sample):
     """generate_graph as a loop over the (seed, sample, 0, trial) streams, one draw at a time."""
     for trial in range(MAX_RETRIES):
         rng = substream(nspec.seed, sample, 0, trial)
-        g = WeightedGraph(nspec.n, _EDGE_MODELS[nspec.model](nspec.n, nspec.p, rng))
+        g = WeightedGraph(nspec.n, _SCALAR_MODELS[nspec.model](nspec.n, nspec.p, rng))
         if is_connected(g):
             return g
     raise ConnectivityRetryExceededError("no connected draw")
@@ -252,9 +320,9 @@ def test_retry_errors_come_after_exactly_max_retries_trials(monkeypatch):
     monkeypatch.setattr(rn, "MAX_RETRIES", 37)
     build, calls = _EDGE_MODELS["erg"], []
 
-    def counted(n, p, rng):  # one call per topology draw
-        calls.append(None)
-        return build(n, p, rng)
+    def counted(n, p, keys, streams):  # one key per topology draw
+        calls.extend(keys)
+        return build(n, p, keys, streams)
 
     monkeypatch.setitem(_EDGE_MODELS, "erg", counted)
     # a complete graph is always connected, and this width never gives margin < 1
@@ -315,9 +383,8 @@ def test_erg_edge_count_moment():
     # mean edge count over 1e4 raw draws within 3 sigma of p*n(n-1)/2
     n, p, draws = 10, 0.7, 10_000
     pairs = n * (n - 1) // 2
-    counts = np.array([
-        len(_erg_edges(n, p, substream(17, t))) for t in range(draws)
-    ])
+    keys = philox_keys(17, np.arange(draws)[:, None])  # the streams substream(17, t)
+    counts = np.array([len(e) for e in _erg_edges(n, p, keys, PhiloxStreams())])
     expected = p * pairs
     sigma_mean = np.sqrt(pairs * p * (1 - p) / draws)
     assert abs(counts.mean() - expected) <= 3 * sigma_mean
