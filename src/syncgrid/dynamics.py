@@ -122,8 +122,12 @@ def rotating_frame(net: OscillatorNetwork) -> OscillatorNetwork:
 
     Afterwards the synchronization frequency is zero and sum(omega) = 0.
     """
-    shift = net.omega_sync
-    return replace(net, omega=net.omega - net.D * shift)
+    return replace(net, omega=_rotating_omega(net.omega, net.D))
+
+
+def _rotating_omega(omega: np.ndarray, damping: np.ndarray) -> np.ndarray:
+    """omega - D * omega_sync, rotating_frame's shift without building a network."""
+    return omega - damping * (np.sum(omega) / np.sum(damping))
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,7 +378,8 @@ def critical_coupling_search(
     unit-weight flow of norm at most n * 1e-10 / 2 carries (cut bound).
     Hence floor <= K s + n * 1e-10 / 2 wherever Newton succeeds: nowhere
     below k_cert = (floor * (1 - 1e-6) - n * 1e-10) / s, the 1e-6 covering
-    the LP's tolerance.
+    the LP's tolerances, which are 1e-7 on its unit-scale data and so
+    relative to floor at any scale of omega.
 
     Upper end: the margin normalizer ||Ldag omega||_{E,inf}, doubled past
     k_cert and then until Newton finds a cohesive equilibrium, up to 2^10

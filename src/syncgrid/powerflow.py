@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import OscillatorNetwork, rotating_frame
+from .dynamics import OscillatorNetwork, _rotating_omega
 from .equilibrium import EquilibriumSolution, solve_equilibrium
 from .errors import (
     InconsistentCaseError,
@@ -166,8 +166,8 @@ class PowerCase:
             d[k] = b.damping if b.damping is not None else (
                 GENERATOR_DAMPING if b.kind == "gen" else LOAD_DAMPING
             )
-        net = rotating_frame(OscillatorNetwork(graph=g, omega=self.injections_pu(),
-                                               second_order=second, M=m, D=d))
+        net = OscillatorNetwork(graph=g, omega=_rotating_omega(self.injections_pu(), d),
+                                second_order=second, M=m, D=d)
         for a in (net.omega, net.M, net.D):  # shared by every caller
             a.flags.writeable = False
         return net
@@ -688,7 +688,7 @@ def contingency_scan(case: PowerCase, trips: list[str], ramp: RampSpec, loadings
 
     def flows(s: float) -> np.ndarray:
         injections = _injections_pu(tripped, *_ramp_mw(tripped, ramp, s))
-        omega = rotating_frame(replace(net, omega=injections)).omega
+        omega = _rotating_omega(injections, net.D)
         return sync_margin(net.graph, omega).psi_particular
 
     psi0 = flows(0.0)

@@ -340,12 +340,25 @@ class MinNormSolution:
 def min_infinity_norm_solution(g: WeightedGraph, omega) -> MinNormSolution:
     """Solve min ||psi||_inf subject to B diag(a) psi = omega.
 
-    Posed as one sparse LP on the edge flows psi and a bound t: minimise t
-    subject to the grounded rows 2..n of B diag(a) psi = omega (+a_e at the
-    sink, -a_e at the source; row 1 follows, as both sides sum to zero) and
-    +-psi_e - t <= 0.  On graphs with cycles the minimising flow psi_star
-    is in general not unique; its norm is.  On trees (m = n - 1) the flow
-    is unique, and psi_star is sync_margin's psi_particular as it is.
+    Posed as one sparse LP on edge flows phi and a gain s: maximise s
+    subject to the grounded rows 2..n of B diag(a') phi = s omega' (+a'_e
+    at the sink, -a'_e at the source; row 1 follows, as both sides sum to
+    zero), with -1 <= phi_e <= 1 and s >= 0 as variable bounds, not rows:
+    n - 1 rows by m + 1 columns.  It is the same problem under phi = s psi:
+    a flow psi of norm t is phi = psi / t at s = 1 / t, so the largest s is
+    1 / min ||psi||_inf and its phi / s is a minimising flow.
+
+    The LP sees omega' = omega / ||omega||_inf and a' = a / max(a), whose
+    largest entries are 1 at any scale of omega and a: HiGHS's tolerances
+    are absolute, and at other scales they, not the data, would decide the
+    optimum.  psi_star = phi ||omega||_inf / (max(a) s) then carries the
+    scale back exactly up to rounding, so scaling omega by c scales the norm
+    by |c| and scaling a by K divides it by K.  An omega that recentres to
+    zero gets the zero flow without an LP.
+
+    On graphs with cycles the minimising flow psi_star is in general not
+    unique; its norm is.  On trees (m = n - 1) the flow is unique, and
+    psi_star is sync_margin's psi_particular as it is.
 
     Raises DisconnectedGraphError, DimensionMismatchError for an omega of
     the wrong length and NonZeroMeanFrequenciesError for a non-finite one.
@@ -354,30 +367,37 @@ def min_infinity_norm_solution(g: WeightedGraph, omega) -> MinNormSolution:
     if g.m == g.n - 1:
         psi_star = sync_margin(g, omega).psi_particular
         return MinNormSolution(psi_star=psi_star, norm=float(np.max(np.abs(psi_star), initial=0.0)))
-    # scipy.optimize is a large import that only the LP needs
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
     omega = np.asarray(omega, dtype=float)
     if omega.shape != (g.n,):
         raise DimensionMismatchError(f"expected length-{g.n} vector, got {omega.shape}")
     omega = recenter_frequencies(omega)
-    n, m, a = g.n, g.m, g.weights
+    omega_scale = float(np.max(np.abs(omega)))
+    if omega_scale == 0.0:
+        return MinNormSolution(psi_star=np.zeros(g.m), norm=0.0)
+    # scipy.optimize is a large import that only the LP needs
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n, m = g.n, g.m
+    a_scale = float(np.max(g.weights))
+    a = g.weights / a_scale
     edge = np.arange(m)
     keep = g.sources > 0  # node 1's row is grounded away; sinks are never node 1
-    bound_rows = n - 1 + np.arange(2 * m)
-    rows = np.concatenate([g.sinks - 1, g.sources[keep] - 1, bound_rows, bound_rows])
-    cols = np.concatenate([edge, edge[keep], edge, edge, np.full(2 * m, m)])
-    data = np.concatenate([a, -a[keep], np.ones(m), -np.ones(m), np.full(2 * m, -1.0)])
-    a_mat = sparse.csc_array((data, (rows, cols)), shape=(n - 1 + 2 * m, m + 1))
-    lower = np.concatenate([omega[1:], np.full(2 * m, -np.inf)])
-    upper = np.concatenate([omega[1:], np.zeros(2 * m)])
+    rows = np.concatenate([g.sinks - 1, g.sources[keep] - 1, np.arange(n - 1)])
+    cols = np.concatenate([edge, edge[keep], np.full(n - 1, m)])
+    data = np.concatenate([a, -a[keep], omega[1:] / -omega_scale])
+    a_mat = sparse.csc_array((data, (rows, cols)), shape=(n - 1, m + 1))
+    zeros = np.zeros(n - 1)
     cost = np.zeros(m + 1)
-    cost[m] = 1.0
-    var_lower = np.full(m + 1, -np.inf)
-    var_lower[m] = 0.0
-    result = milp(cost, constraints=LinearConstraint(a_mat, lower, upper),
-                  bounds=Bounds(var_lower, np.inf))
+    cost[m] = -1.0
+    lower = np.full(m + 1, -1.0)
+    lower[m] = 0.0
+    upper = np.ones(m + 1)
+    upper[m] = np.inf
+    # HiGHS presolve stays on: off took 1.8 ms against 2.2 at n = 73,
+    # but 0.58 s against 0.43 at n = 10,001
+    result = milp(cost, constraints=LinearConstraint(a_mat, zeros, zeros),
+                  bounds=Bounds(lower, upper))
     if not result.success:
         raise RuntimeError(f"min-norm LP failed: {result.message}")
-    psi_star = result.x[:m]
+    psi_star = result.x[:m] * (omega_scale / (a_scale * result.x[m]))
     return MinNormSolution(psi_star=psi_star, norm=float(np.max(np.abs(psi_star))))

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import count_calls
 from syncgrid import powerflow
+from syncgrid.dynamics import OscillatorNetwork
 from syncgrid.equilibrium import EquilibriumSolution
 from syncgrid.errors import (
     DisconnectedGraphError,
@@ -494,6 +495,24 @@ def test_warm_study_item_builds_no_network(monkeypatch):
     bus_replaces = _count_bus_replaces(monkeypatch)
     _rts_item(case, 1)
     assert (len(builds), len(merges), len(bus_replaces)) == (0, 0, 0)
+
+
+def test_study_item_validates_two_networks(monkeypatch):
+    # the scenario's model and the tripped case's model; the rotating-frame
+    # shifts of the model build and of the scan's two flows build no network
+    case = bundled_case("rts96")
+    original = OscillatorNetwork.__post_init__
+    built = []
+
+    def counted(net):
+        built.append(net)
+        original(net)
+
+    monkeypatch.setattr(OscillatorNetwork, "__post_init__", counted)
+    _rts_item(case, 0)
+    assert len(built) == 2
+    for net in built:
+        assert net.omega_sync == pytest.approx(0.0, abs=1e-12)
 
 
 def test_branch_trip_builds_one_new_graph(monkeypatch):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -410,9 +411,63 @@ def test_min_norm_tree_equals_particular():
     assert result.norm == pytest.approx(a.margin, rel=1e-12)
 
 
-def test_min_norm_zero():
+def _record_milp(monkeypatch) -> list:
+    """Record the arguments of every scipy.optimize.milp call, then solve as usual."""
+    original = scipy.optimize.milp
+    calls = []
+
+    def recorded(c, **kwargs):
+        calls.append((c, kwargs))
+        return original(c, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", recorded)
+    return calls
+
+
+def test_min_norm_zero(monkeypatch):
+    lps = _record_milp(monkeypatch)
     result = min_infinity_norm_solution(K3, np.zeros(3))
     assert result.norm == 0.0
+    # all-equal frequencies recentre to zero: the zero flow, without an LP
+    g = random_connected_graph(7, n_min=8, n_max=12, extra_edges=5)
+    assert g.m > g.n - 1
+    result = min_infinity_norm_solution(g, np.full(g.n, 2.5))
+    assert result.norm == 0.0 and np.array_equal(result.psi_star, np.zeros(g.m))
+    assert lps == []
+
+
+def test_min_norm_lp_has_grounded_rows_and_box_bounds(monkeypatch):
+    lps = _record_milp(monkeypatch)
+    net = build_oscillator_model(bundled_case("rts96"))
+    g = net.graph
+    min_infinity_norm_solution(g, net.omega)
+    ((cost, kwargs),) = lps
+    constraint, bounds = kwargs["constraints"], kwargs["bounds"]
+    assert constraint.A.shape == (g.n - 1, g.m + 1) == (72, 109)
+    assert np.array_equal(constraint.lb, constraint.ub)  # equality rows only
+    assert cost.shape == (g.m + 1,)
+    assert np.array_equal(bounds.lb, np.r_[-np.ones(g.m), 0.0])
+    assert np.array_equal(bounds.ub, np.r_[np.ones(g.m), np.inf])
+
+
+def test_min_norm_is_scale_exact():
+    # norm(c omega) = |c| norm(omega) and norm on K a = norm / K, at any scale
+    square = WeightedGraph.from_edges(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 4, 1.0)])
+    cases = [(square, np.array([1.0, 1.0, -1.0, -1.0]))]
+    assert min_infinity_norm_solution(*cases[0]).norm == pytest.approx(1.0, rel=1e-12)  # cut {1, 2}
+    for seed in (3, 11):
+        g = random_connected_graph(seed, n_min=10, n_max=16, extra_edges=6)
+        cases.append((g, random_zero_mean(seed, g.n, scale=2.0)))
+    for g, omega in cases:
+        assert g.m > g.n - 1
+        norm = min_infinity_norm_solution(g, omega).norm
+        assert norm > 0.0
+        for c in (1e-200, 1e-10, 1.0, 1e10, 1e25):
+            scaled = min_infinity_norm_solution(g, c * omega).norm
+            assert scaled == pytest.approx(c * norm, rel=1e-12, abs=0.0)
+        for gain in (1e-12, 1e-3, 7.0, 1e9):
+            reweighted = min_infinity_norm_solution(g.scaled(gain), omega).norm
+            assert reweighted == pytest.approx(norm / gain, rel=1e-12, abs=0.0)
 
 
 def test_min_norm_single_cycle_grid_oracle():
