@@ -15,13 +15,21 @@ The right-hand side evaluates the coupling through graph._sine_coupling,
 B diag(a) sin(B^T theta) with no input checks, and divides the torque by
 the damping on every node at once (1.0 stands in on second-order nodes,
 whose theta_dot is their frequency, so zero damping there divides by
-nothing).  A first-order system returns that n-vector as it is.  The
-derivative at the end of each step is evaluated once, recorded or tested for
-steadiness and reused as the next step's k1: a run evaluates the right-hand
-side 4 times per step, plus once.  Every floating-point operation is the one
-the plain five-stage loop over divergence(g, sin(edge_differences(g, theta)))
-performs, in the same order, so trajectories are bit-identical to it;
-tests/test_dynamics.py keeps that loop as the reference.
+nothing).  A first-order system returns that n-vector as it is, computed
+in place in the coupling's fresh output, and skips the division when every
+damping is 1 (x / 1.0 == x).  The derivative at the end of each step is
+evaluated once, recorded or tested for steadiness and reused as the next
+step's k1: a run evaluates the right-hand side 4 times per step, plus once.
+
+The stepper allocates two buffers per run: the stage state y + h k, formed
+with out= multiplies and adds, and the accumulator of
+((k1 + 2 k2) + 2 k3) + k4, scaled by step / 6 and added to y in place.
+Each right-hand side is a fresh array, so a recorded theta_dot row is never
+overwritten, and recorded theta rows are copies.  Every floating-point
+operation is the one the plain five-stage loop over
+divergence(g, sin(edge_differences(g, theta))) performs, in the same order,
+so trajectories are bit-identical to it; tests/test_dynamics.py keeps that
+loop as the reference.
 """
 
 from __future__ import annotations
@@ -188,14 +196,25 @@ def rk4_integrate(
 
         def rhs(y: np.ndarray) -> np.ndarray:
             nu = y[n:]
-            torque = omega - _sine_coupling(g, y[:n])
-            dtheta = torque / scale
+            torque = _sine_coupling(g, y[:n])
+            np.subtract(omega, torque, out=torque)
+            out = np.empty_like(y)
+            dtheta, dnu = out[:n], out[n:]
+            np.divide(torque, scale, out=dtheta)
             dtheta[v1] = nu
-            dnu = (torque[v1] - d1 * nu) / m1
-            return np.concatenate([dtheta, dnu])
+            np.multiply(d1, nu, out=dnu)
+            np.subtract(torque[v1], dnu, out=dnu)
+            dnu /= m1
+            return out
     else:
+        unit = bool((scale == 1.0).all())  # x / 1.0 == x: unit damping divides by nothing
+
         def rhs(y: np.ndarray) -> np.ndarray:
-            return (omega - _sine_coupling(g, y)) / scale
+            torque = _sine_coupling(g, y)
+            np.subtract(omega, torque, out=torque)
+            if not unit:
+                torque /= scale
+            return torque
 
     n_steps = max(1, int(round(t_end / step)))
     half, sixth = 0.5 * step, step / 6.0
@@ -204,17 +223,23 @@ def rk4_integrate(
     times = [0.0]
     thetas = [y[:n].copy()]
     dots = [k1[:n]]
+    stage, acc = np.empty_like(y), np.empty_like(y)  # y + h k, then the weighted k sum
 
     window_steps = max(1, int(round(STEADY_WINDOW / step)))
     window_max = 0.0
     in_window = 0
 
     for k in range(1, n_steps + 1):
-        k2 = rhs(y + half * k1)
-        k3 = rhs(y + half * k2)
-        k4 = rhs(y + step * k3)
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+        k2 = rhs(np.add(y, np.multiply(k1, half, out=stage), out=stage))
+        k3 = rhs(np.add(y, np.multiply(k2, half, out=stage), out=stage))
+        k4 = rhs(np.add(y, np.multiply(k3, step, out=stage), out=stage))
+        np.multiply(k2, 2.0, out=acc)
+        np.add(k1, acc, out=acc)
+        acc += np.multiply(k3, 2.0, out=stage)
+        acc += k4
+        acc *= sixth
+        y += acc
+        if not np.isfinite(y).all():
             raise NonFiniteStateError(f"state diverged at t = {k * step:.6g}")
         k1 = rhs(y)
         dot = k1[:n]

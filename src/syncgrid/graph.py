@@ -14,13 +14,20 @@ fixed convention only pins down signs in golden outputs.
 This module is the one place that maps edges onto nodes.
 WeightedGraph.laplacian(c) assembles B diag(c) B^T for any edge vector c:
 the weights by default, -a cos(B^T theta) for the Newton Jacobian.  Its
-diagonal, the weighted degrees and the divergence are each one np.bincount
-over edge endpoints.  The coupling B diag(a) sin(B^T theta), which the
-flow-balance residual and every RK4 right-hand side evaluate, goes through
-one private kernel, _sine_coupling: the divergence of sin(B^T theta) with
-the input checks left to its callers, bit for bit the same.  A BFS tree
-from node 1 in edge order answers connectivity, integrates edge angles into
-node angles and closes the one cycle of a cycle graph.
+diagonal and the weighted degrees are one np.bincount over edge endpoints.
+B diag(a) has one scatter, _scatter: the 2m-vector [psi, psi] times the
+graph's cached signed weights [a, -a], binned at sinks, then sources.
+divergence feeds it psi; the coupling B diag(a) sin(B^T theta), which the
+flow-balance residual and every RK4 right-hand side evaluate, feeds it from
+_sine_coupling: one gather of theta at sinks, then sources, the halves
+subtracted and their sine taken in place, with the input checks left to its
+callers.  Gathers commute with elementwise arithmetic and (-a) s == -(a s),
+so it is bit for bit divergence(g, sin(edge_differences(g, theta))).  At
+n = 1022 (m = 1554) a call costs 17.5-18.5 us, about 7 of them np.sin and
+4-5 the bincount; a scipy CSR matvec for the scatter gives the same bits
+but costs more on small graphs, where most calls are made.  A BFS tree from
+node 1 in edge order answers connectivity, integrates edge angles into node
+angles and closes the one cycle of a cycle graph.
 
 Storage and reweighting.  WeightedGraph(n, edges) (or from_edges) orients
 and sorts its (i, j, weight) triples and stores n and the edge arrays
@@ -38,20 +45,22 @@ kernel.  Grounding node 1 keeps rows and columns 2..n, a block that is
 nonsingular for the Laplacian of a connected graph.  Below SPARSE_MIN_NODES
 nodes these systems are solved dense with LAPACK (solve_poisson augments L
 by 11^T/n instead of grounding).  From it on, WeightedGraph._grounded builds
-the grounded block of B diag(c) B^T as a CSC matrix from the same edge
-arrays, and SuperLU factors it under a symmetric fill-reducing ordering.
+the grounded block of B diag(c) B^T as a CSC matrix: the topology caches
+its pattern (indices, indptr and where each entry comes from), so a new c
+costs one take.  SuperLU factors it under a symmetric fill-reducing ordering.
 The factor of the grounded Laplacian is cached on the frozen graph, so every
 solve_poisson on one graph object (the margin, Newton's seed, later items)
 shares one factorization.  The constant is the measured crossover on tiled
-rts96 grids (a new graph object per call, so its BFS tree and factor are
-built each time; best of 7, BLAS at 1 thread, 2-vCPU Xeon at 2.0 GHz):
+rts96 grids (a new graph object per call, so its BFS tree, grounded pattern
+and factor are built each time; best of 7, one-column SuperLU panels, BLAS
+at 1 thread, 2-vCPU Xeon):
 
     n      solve_equilibrium dense / sparse    solve_poisson dense / sparse
-    73      0.83 ms / 2.67 ms                  0.20 ms / 0.49 ms
-    146     1.71 ms / 3.71 ms                  0.51 ms / 0.67 ms
-    219     4.19 ms / 4.07 ms                  1.54 ms / 0.91 ms
-    292     8.39 ms / 4.86 ms                  2.24 ms / 1.24 ms
-    438    18.91 ms / 5.85 ms                  8.73 ms / 1.51 ms
+    73      0.39 ms / 1.27 ms                  0.10 ms / 0.25 ms
+    146     0.98 ms / 1.72 ms                  0.26 ms / 0.37 ms
+    219     2.67 ms / 1.96 ms                  0.77 ms / 0.45 ms
+    292     4.87 ms / 2.21 ms                  1.47 ms / 0.54 ms
+    438    12.29 ms / 2.73 ms                  3.66 ms / 0.71 ms
 """
 
 from __future__ import annotations
@@ -150,6 +159,28 @@ class _Topology:
         self.n, self.m, self.sources, self.sinks = n, ends.shape[1], ends[0], ends[1]
 
     @cached_property
+    def grounded_csc(self) -> tuple[np.ndarray, ...]:
+        """The CSC pattern of rows and columns 2..n of B diag(c) B^T, for any c.
+
+        Returns keep (the edges off node 1; sinks are never node 1), each
+        stored entry's position in the COO data [diagonal 2..n, -c[keep],
+        -c[keep]], and the indices and indptr that scipy builds from those
+        coordinates, all read-only: a grounded matrix is then one take, with
+        the arrays of a COO conversion.
+        """
+        keep = self.sources > 0
+        src, snk = self.sources[keep] - 1, self.sinks[keep] - 1
+        diag = np.arange(self.n - 1)
+        rows = np.concatenate([diag, src, snk])
+        cols = np.concatenate([diag, snk, src])
+        entry = np.arange(rows.size, dtype=float)  # exact: far below 2^53 entries
+        pattern = sparse.csc_array((entry, (rows, cols)), shape=(self.n - 1, self.n - 1))
+        out = keep, pattern.data.astype(np.intp), pattern.indices, pattern.indptr
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+    @cached_property
     def bfs_tree(self) -> BFSTree:
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for k, (i, j) in enumerate(zip(self.sources.tolist(), self.sinks.tolist())):
@@ -232,13 +263,16 @@ class WeightedGraph:
 
     def _grounded(self, c: np.ndarray) -> sparse.csc_array:
         """Rows and columns 2..n of B diag(c) B^T as a CSC matrix (node 1 grounded)."""
-        keep = self.sources > 0  # edges off node 1; sinks are never node 1
-        src, snk, ck = self.sources[keep] - 1, self.sinks[keep] - 1, c[keep]
-        diag = np.arange(self.n - 1)
-        rows = np.concatenate([diag, src, snk])
-        cols = np.concatenate([diag, snk, src])
-        data = np.concatenate([self._node_sum(c)[1:], -ck, -ck])
-        return sparse.csc_array((data, (rows, cols)), shape=(self.n - 1, self.n - 1))
+        keep, position, indices, indptr = self._topology.grounded_csc
+        ck = -c[keep]
+        data = np.concatenate([self._node_sum(c)[1:], ck, ck]).take(position)
+        return sparse.csc_array((data, indices, indptr), shape=(self.n - 1, self.n - 1))
+
+    @cached_property
+    def _signed_weights(self) -> np.ndarray:
+        """[a, -a]: each edge's weight at its sink, then at its source, in the
+        order of the divergence index."""
+        return np.concatenate([self.weights, -self.weights])
 
     @cached_property
     def _grounded_laplacian_lu(self):
@@ -289,20 +323,30 @@ def divergence(g: WeightedGraph, psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (g.m,):
         raise DimensionMismatchError(f"expected length-{g.m} edge vector, got {psi.shape}")
-    flow = g.weights * psi
-    net = np.bincount(g._topology.divergence_index, np.concatenate([flow, -flow]), g.n)
+    return _scatter(g, np.concatenate([psi, psi]))
+
+
+def _scatter(g: WeightedGraph, both: np.ndarray) -> np.ndarray:
+    """B diag(a) psi from both = [psi, psi], a 2m-vector it overwrites: one multiply
+    by [a, -a] and one bincount at sinks, then sources."""
+    both *= g._signed_weights
+    net = np.bincount(g._topology.divergence_index, both, g.n)
     return net.astype(float, copy=False)  # with no edges bincount returns int64
 
 
 def _sine_coupling(g: WeightedGraph, theta: np.ndarray) -> np.ndarray:
     """B diag(a) sin(B^T theta) for a float n-vector theta, without input checks.
 
-    The same operations in the same order as
-    divergence(g, np.sin(edge_differences(g, theta))), so the same bits.
+    One gather of theta at sinks, then sources, one subtract of the halves
+    into the first and an in-place sine, copied into the second for _scatter.
+    Gathers commute with elementwise arithmetic and (-a) s == -(a s), so the
+    bits are those of divergence(g, np.sin(edge_differences(g, theta))).
     """
-    flow = g.weights * np.sin(theta[g.sinks] - theta[g.sources])
-    net = np.bincount(g._topology.divergence_index, np.concatenate([flow, -flow]), g.n)
-    return net.astype(float, copy=False)  # with no edges bincount returns int64
+    m = g.m
+    ends = theta.take(g._topology.divergence_index)
+    diff = np.subtract(ends[:m], ends[m:], out=ends[:m])
+    ends[m:] = np.sin(diff, out=diff)
+    return _scatter(g, ends)
 
 
 def is_connected(g: WeightedGraph) -> bool:
@@ -323,9 +367,15 @@ def symmetric_splu(a: sparse.csc_array, diag_pivot_thresh: float = 0.0):
     every nonzero diagonal qualifies: a positive definite matrix then
     factors with perm_r == perm_c and a positive diagonal of U.
     Raises RuntimeError when the factor is exactly singular.
+
+    Panels are one column wide: grid Laplacians and Jacobians have so few
+    nonzeros per column that SuperLU's default panels of 8 cost more than
+    they save (a grounded tiled-rts96 Laplacian factors in 0.43-0.47
+    instead of 0.73-0.76 ms at n = 1022, 3.9-4.1 instead of 6.9-7.0 ms at
+    n = 10,001).  The factor differs from the default one in its last bits.
     """
     return splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=diag_pivot_thresh,
-                options=dict(SymmetricMode=True))
+                panel_size=1, options=dict(SymmetricMode=True))
 
 
 def solve_poisson(g: WeightedGraph, x) -> np.ndarray:

@@ -59,6 +59,22 @@ def cycle_graph(n: int, weights=None) -> WeightedGraph:
     return WeightedGraph.from_edges(n, [(u, v, w) for (u, v), w in zip(edges, weights)])
 
 
+def tiled_rts96(copies: int) -> tuple[WeightedGraph, np.ndarray]:
+    """copies of the rts96 oscillator model in a ring (at least 2), each copy tied
+    to the next by three lines of weight 10, and the model's omega tiled: the
+    layout of perfbench's large_grid workload (n = 73 copies)."""
+    from syncgrid.powerflow import build_oscillator_model, bundled_case
+
+    net = build_oscillator_model(bundled_case("rts96"))
+    g, n = net.graph, net.graph.n
+    edges = []
+    for k in range(copies):
+        off, nxt = k * n, (k + 1) % copies * n
+        edges += [(off + i, off + j, w) for i, j, w in g.edges]
+        edges += [(off + i + 1, nxt + j + 1, 10.0) for i, j in ((60, 10), (40, 30), (70, 55))]
+    return WeightedGraph.from_edges(copies * n, edges), np.tile(net.omega, copies)
+
+
 def random_zero_mean(seed: int, n: int, scale: float = 1.0) -> np.ndarray:
     rng = substream(seed, 636363)
     omega = rng.uniform(-scale, scale, n)

@@ -410,6 +410,10 @@ def _rk4_cases():
     cases.append((tiled, random_zero_mean(77, tiled.n), np.array([], dtype=np.intp),
                   rng.uniform(0.5, 1.5, tiled.n), np.array([]),
                   rng.uniform(-0.3, 0.3, tiled.n), np.array([])))
+    unit = random_connected_graph(66, n_min=5, n_max=9)  # first order, unit damping
+    cases.append((unit, random_zero_mean(66, unit.n, 3.0), np.array([], dtype=np.intp),
+                  np.ones(unit.n), np.array([]), substream(66, 1).uniform(-1.0, 1.0, unit.n),
+                  np.array([])))
     return cases
 
 

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import incidence, pseudoinverse, random_connected_graph, random_zero_mean
+from conftest import incidence, pseudoinverse, random_connected_graph, random_zero_mean, tiled_rts96
 from syncgrid.errors import (
     DegenerateGraphError,
     DimensionMismatchError,
     DisconnectedGraphError,
 )
 from syncgrid.graph import (
+    SPARSE_MIN_NODES,
     WeightedGraph,
     _sine_coupling,
     divergence,
@@ -102,6 +103,42 @@ def test_node_operators_equal_dense_incidence_products(seed):
     coupling = _sine_coupling(g, theta)
     assert np.array_equal(coupling, divergence(g, np.sin(edge_differences(g, theta))))
     assert np.allclose(coupling, b @ (g.weights * np.sin(b.T @ theta)), rtol=0, atol=1e-12)
+
+
+def _looped_divergence(g: WeightedGraph, psi: np.ndarray) -> np.ndarray:
+    """B diag(a) psi accumulated edge by edge from zero: at the sinks, then the sources."""
+    net = np.zeros(g.n)
+    for e in range(g.m):
+        net[g.sinks[e]] += g.weights[e] * psi[e]
+    for e in range(g.m):
+        net[g.sources[e]] += -(g.weights[e] * psi[e])
+    return net
+
+
+def _coupling_cases():
+    """(graph, theta): no edges, a tiled grid on the sparse path, and a reweighted graph
+    whose parent's signed weights were built first."""
+    rng = np.random.default_rng(5)
+    tiled, _ = tiled_rts96(3)
+    assert tiled.n >= SPARSE_MIN_NODES
+    parent = random_connected_graph(17)
+    theta = rng.uniform(-3.0, 3.0, parent.n)
+    _sine_coupling(parent, theta)  # fills the parent's cache
+    scaled = parent.scaled(2.5)
+    assert scaled._topology is parent._topology
+    return [(WeightedGraph.from_edges(4, []), rng.uniform(-3.0, 3.0, 4)),
+            (tiled, rng.uniform(-1.0, 1.0, tiled.n)),
+            (scaled, theta)]
+
+
+@pytest.mark.parametrize("case", _coupling_cases(), ids=["no-edges", "tiled", "scaled"])
+def test_sine_coupling_is_divergence_of_sines_bitwise(case):
+    g, theta = case
+    sines = np.sin(edge_differences(g, theta))
+    looped = _looped_divergence(g, sines)
+    assert np.array_equal(divergence(g, sines), looped)
+    assert np.array_equal(_sine_coupling(g, theta), looped)
+    assert _sine_coupling(g, theta).dtype == float
 
 
 def test_edge_norm_dimension_mismatch():

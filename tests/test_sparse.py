@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import count_calls, pseudoinverse, random_connected_graph, random_zero_mean
+from conftest import (count_calls, pseudoinverse, random_connected_graph, random_zero_mean,
+                      tiled_rts96)
 from syncgrid import equilibrium, graph
 from syncgrid.equilibrium import (
     _factor_grounded,
@@ -112,6 +113,25 @@ def test_lattice_of_ten_thousand_nodes_without_dense_matrices(monkeypatch):
     assert dense == []
 
 
+def test_grounded_matrix_equals_coo_assembly():
+    # the cached pattern gives the arrays of a COO conversion, for any edge vector
+    rng = np.random.default_rng(3)
+    for g in (large_graph(3), lattice(15), tiled_rts96(3)[0]):
+        for c in (g.weights, rng.normal(size=g.m), np.zeros(g.m)):
+            keep = g.sources > 0
+            src, snk, ck = g.sources[keep] - 1, g.sinks[keep] - 1, c[keep]
+            diag = np.arange(g.n - 1)
+            want = sparse.csc_array(
+                (np.concatenate([g._node_sum(c)[1:], -ck, -ck]),
+                 (np.concatenate([diag, src, snk]), np.concatenate([diag, snk, src]))),
+                shape=(g.n - 1, g.n - 1))
+            got = g._grounded(c)
+            for name in ("data", "indices", "indptr"):
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert got.has_canonical_format
+
+
 def test_factor_verdict_equals_eigvalsh_verdict():
     # both branches; the angle spread makes many -J indefinite
     verdicts = {True: 0, False: 0}
@@ -129,3 +149,16 @@ def test_factor_verdict_equals_eigvalsh_verdict():
         assert verdict == assess_stability(g, theta).stable
         verdicts[verdict] += 1
     assert min(verdicts.values()) >= 20
+    # a tiled grid at n = 1022: Newton's stable equilibrium, and the unstable one that
+    # mirrors a pendant edge's angle d to pi - d (same sine and flows, a negative cos)
+    g, omega = tiled_rts96(14)
+    omega = 0.5 * (omega - omega.mean())
+    stable = solve_equilibrium(g, omega).theta
+    pendant = 54  # bus 55 of the first copy, tied to nothing else
+    (edge,) = np.flatnonzero((g.sources == pendant) | (g.sinks == pendant))
+    other = g.sources[edge] + g.sinks[edge] - pendant
+    unstable = stable.copy()
+    unstable[pendant] = stable[other] + math.pi - (stable[pendant] - stable[other])
+    for theta, expected in ((stable, True), (unstable, False)):
+        assert _stable_by_factor(g, theta) == expected
+        assert assess_stability(g, theta, omega).stable == expected
