@@ -178,6 +178,12 @@ def _finalize(g: WeightedGraph, omega, theta, iterations: int) -> EquilibriumSol
     )
 
 
+def _one_norm(a) -> float:
+    """||a||_1, the largest column sum of |a|, from the stored entries of a CSC
+    matrix with no empty column (a grounded -J stores every diagonal entry)."""
+    return float(np.add.reduceat(abs(a.data), a.indptr[:-1]).max())
+
+
 def _factor_grounded(minus_jac_red):
     """Factor the grounded -J: a solve with its LU and a 1-norm condition estimate.
 
@@ -205,8 +211,7 @@ def _factor_grounded(minus_jac_red):
         return None, math.inf
     inverse = LinearOperator(lu.shape, matvec=lu.solve, rmatvec=lambda b: lu.solve(b, trans="T"),
                              dtype=float)
-    anorm = float(np.max(abs(minus_jac_red).sum(axis=0)))
-    cond = anorm * onenormest(inverse, t=1)
+    cond = _one_norm(minus_jac_red) * onenormest(inverse, t=1)
     return lu.solve, cond if cond > 0.0 and math.isfinite(cond) else math.inf
 
 

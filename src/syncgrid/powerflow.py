@@ -474,6 +474,8 @@ class ScenarioConfig:
                 raise InvalidSpecError(f"{name} must lie in [0, 1], got {value}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise InvalidSpecError(f"sigma must be finite and non-negative, got {self.sigma}")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be non-negative, got {self.seed}")
 
 
 def randomize_scenario(case: PowerCase, cfg: ScenarioConfig, sample: int = 0) -> PowerCase:

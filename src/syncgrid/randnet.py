@@ -21,29 +21,37 @@ t).  rng.philox_keys derives the Philox keys of many such paths in one
 vectorised pass, the words numpy's SeedSequence would give: the seed's
 share of SeedSequence's hash is computed once per seed, and each path word
 is then one round of uint32 array operations over all the paths.  One
-rng.PhiloxStreams generator per call is re-keyed for each stream, so every
-draw is the one substream(seed, *path) gives.  The small-world builder
-reads its streams as raw words (PhiloxStreams.words) and decodes its
-random() and integers() draws from them (rng.unit_floats, rng.WordDraws),
-bit for bit the draws a Generator on the same stream makes
-(tests/test_randnet.py keeps the one-call-at-a-time builder as the
-reference).
+rng.PhiloxStreams generator per call is re-keyed for each stream, and the
+samplers read the streams as raw words, one PhiloxStreams.words call per
+stage of a block.  Each draw is decoded from the words bit for bit as a
+Generator on the same stream, substream(seed, *path), makes it: the erg
+and smn tests random() < p with rng.unit_floats_below, the rgg points with
+rng.unit_floats, the weights and the width and uniform frequencies
+(Generator.uniform) with rng.uniform_floats, the bipolar frequencies
+(Generator.choice of -1 or +1) with rng.coin_flips, and the small world's
+integers() with rng.WordDraws.  tests/test_randnet.py keeps the
+one-call-at-a-time builders as the reference; sample_weights and
+sample_frequencies keep their Generator form.
 
 Block sampler.  nominal_network decides its trials in blocks of 1, 2, 4, ...
 up to MAX_BLOCK trials.  Per block, one key pass covers every stream the
-block needs; the topology builder draws every trial of the block in one
-call, each trial makes its weight and frequency draws, and the block is
-filtered at once: edges oriented and sorted, connectivity by reachability
-from node 1 (a disconnected trial redraws at its next inner index, as
-generate_graph does), weighted degrees
-and the node-cut ratio, and one stacked LAPACK solve of the augmented
-Laplacians L + 11^T/n of the trials the node-cut filter passes, assembled as
+block needs.  The topology builder draws every trial of the block in one
+call and returns integer edge arrays: per edge its trial and its 0-based
+ends src < snk, each trial's edges sorted as WeightedGraph stores them
+(erg and rgg pairs come out of _pairs in that order; only a small world's
+rewired edges are reordered).  One word pass per stage then gives every
+trial's weights and frequencies, and the block is filtered at once:
+connectivity by reachability from node 1 (a disconnected trial redraws at
+its next inner index, as generate_graph does), weighted degrees and the
+node-cut ratio, and one stacked LAPACK solve of the augmented Laplacians
+L + 11^T/n of the trials the node-cut filter passes, assembled as
 WeightedGraph.laplacian() and solve_poisson assemble them.  The block is
-then scanned in trial order: a trial whose node-cut ratio and stacked margin
-are both below 1 + CUT_SLACK becomes a WeightedGraph and sync_margin decides
-it.  The first accepted trial returns with attempts = t + 1; trials drawn
-after it in its block are discarded.  Growing blocks keep the erg cells,
-which accept within a few trials, from paying for trials they never need.
+then scanned in trial order: a trial whose node-cut ratio and stacked
+margin are both below 1 + CUT_SLACK becomes a WeightedGraph and
+sync_margin decides it.  The first accepted trial returns with attempts =
+t + 1; trials drawn after it in its block are discarded.  Growing blocks
+keep the erg cells, which accept within a few trials, from paying for
+trials they never need.
 
 Node-cut pre-filter.  A draw whose worst single-node cut ratio
 sync.node_cut_ratio, max_i |omega_i| / deg_i, is at least 1 + CUT_SLACK is
@@ -72,7 +80,8 @@ import numpy as np
 
 from .errors import ConnectivityRetryExceededError, InvalidSpecError, MarginRetryExceededError
 from .graph import WeightedGraph
-from .rng import PhiloxStreams, WordDraws, philox_keys, unit_floats
+from .rng import (PhiloxStreams, WordDraws, coin_flips, philox_keys, uniform_floats,
+                  unit_floats, unit_floats_below)
 from .sync import sync_margin
 
 MAX_RETRIES = 10_000
@@ -88,6 +97,9 @@ _STAGE_TOPOLOGY = 0
 _STAGE_WEIGHTS = 1
 _STAGE_FREQUENCIES = 2
 
+# Stream paths are int64 arrays, so every path entry is below this.
+_PATH_ENTRY_LIMIT = 2**63
+
 
 @dataclass(frozen=True)
 class NominalNetworkSpec:
@@ -98,7 +110,8 @@ class NominalNetworkSpec:
     square.  distribution selects the frequency sampling: "width" draws
     uniformly from [-alpha/2, alpha/2], "uniform" from [-1, 1], "bipolar"
     from {-1, +1}.  weighted toggles uniform [0.5, 5] coupling weights versus
-    unit weights.  The seed fully determines every sample.
+    unit weights.  The seed, a non-negative integer, fully determines every
+    sample.
     """
 
     n: int
@@ -119,6 +132,8 @@ class NominalNetworkSpec:
         _check_distribution(self.distribution, self.alpha)
         if self.n < 2:
             raise InvalidSpecError("need n >= 2")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be non-negative, got {self.seed}")
 
 
 def _check_distribution(distribution: str, alpha: float | None) -> None:
@@ -129,32 +144,46 @@ def _check_distribution(distribution: str, alpha: float | None) -> None:
         raise InvalidSpecError(f"width distribution requires a finite alpha > 0, got {alpha}")
 
 
+def _check_sample(sample: int, trials: int) -> None:
+    """InvalidSpecError unless sample >= 0 and every stream path entry sample * trials + t,
+    t < trials, fits an int64 path."""
+    last = _PATH_ENTRY_LIMIT // trials - 1  # (last + 1) * trials <= _PATH_ENTRY_LIMIT
+    if not 0 <= sample <= last:
+        raise InvalidSpecError(f"sample must lie in [0, {last}], got {sample}")
+
+
 @lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All node pairs i < j in np.triu_indices order, as 0-based index arrays and
-    as (i + 1, j + 1, 1.0) rows; built once per n, read-only."""
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """All node pairs i < j in np.triu_indices order, as read-only 0-based index arrays;
+    built once per n."""
     iu, ju = np.triu_indices(n, k=1)
-    rows = np.column_stack((iu + 1, ju + 1, np.ones(len(iu))))
-    for a in (iu, ju, rows):
-        a.flags.writeable = False
-    return iu, ju, rows
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
 
 
-def _erg_edges(n: int, p: float, keys: np.ndarray, streams: PhiloxStreams) -> list[np.ndarray]:
+def _pair_edges(n: int, hit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges (row, src, snk) of a block whose trial r has the pairs k with hit[r, k]."""
+    row, k = np.nonzero(hit)
+    iu, ju = _pairs(n)
+    return row, iu[k], ju[k]
+
+
+# A topology builder draws one trial per key and returns the block's edges as
+# (row, src, snk): per edge its trial (the key's index), then its 0-based ends
+# src < snk; a trial's edges are contiguous and sorted by (src, snk).
+
+def _erg_edges(n: int, p: float, keys: np.ndarray,
+               streams: PhiloxStreams) -> tuple[np.ndarray, ...]:
     """Per key, the pairs whose random() draw, one per pair in order, is below p."""
-    rows = _pairs(n)[2]
-    return [rows[streams.keyed(key).random(len(rows)) < p] for key in keys]
+    return _pair_edges(n, unit_floats_below(streams.words(keys, n * (n - 1) // 2), p))
 
 
 def _rgg_edges(n: int, radius: float, keys: np.ndarray,
-               streams: PhiloxStreams) -> list[np.ndarray]:
+               streams: PhiloxStreams) -> tuple[np.ndarray, ...]:
     """Per key, the pairs at most radius apart, of n points drawn as random((n, 2))."""
-    iu, ju, rows = _pairs(n)
-    out = []
-    for key in keys:
-        pts = streams.keyed(key).random((n, 2))
-        out.append(rows[np.linalg.norm(pts[iu] - pts[ju], axis=1) <= radius])
-    return out
+    iu, ju = _pairs(n)
+    pts = unit_floats(streams.words(keys, 2 * n)).reshape(len(keys), n, 2)
+    return _pair_edges(n, np.linalg.norm(pts[:, iu] - pts[:, ju], axis=2) <= radius)
 
 
 SMN_NEIGHBORS_PER_SIDE = 2  # canonical small-world base lattice (degree 4)
@@ -163,9 +192,8 @@ SMN_NEIGHBORS_PER_SIDE = 2  # canonical small-world base lattice (degree 4)
 @lru_cache(maxsize=None)
 def _smn_lattice(n: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, tuple[int, ...]]:
     """Sorted (i, j), i < j, edges of the ring joining each node to its nearest
-    neighbors, the same edges as a read-only (m, 3) array of unit-weight rows,
-    and the neighbors of every node id as a bit mask, bit j for node j (index 0
-    unused)."""
+    neighbors, the same edges as read-only keys (i - 1) n + j - 1, and the
+    neighbors of every node id as a bit mask, bit j for node j (index 0 unused)."""
     present = set()
     for i in range(1, n + 1):
         for k in range(1, SMN_NEIGHBORS_PER_SIDE + 1):
@@ -173,13 +201,13 @@ def _smn_lattice(n: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, tuple
             if i != j:
                 present.add((min(i, j), max(i, j)))
     pairs = tuple(sorted(present))
-    rows = np.array([(i, j, 1.0) for i, j in pairs]).reshape(-1, 3)
-    rows.flags.writeable = False
+    keys = np.array([(i - 1) * n + j - 1 for i, j in pairs], np.intp)
+    keys.flags.writeable = False
     nbrs = [0] * (n + 1)
     for i, j in pairs:
         nbrs[i] |= 1 << j
         nbrs[j] |= 1 << i
-    return pairs, rows, tuple(nbrs)
+    return pairs, keys, tuple(nbrs)
 
 
 def _smn_words(m: int) -> int:
@@ -188,8 +216,9 @@ def _smn_words(m: int) -> int:
     return -(-3 * m // 8) * 4
 
 
-def _smn_edges(n: int, p: float, keys: np.ndarray, streams: PhiloxStreams) -> list[np.ndarray]:
-    """Small-world lattices with probabilistic rewiring, as (i, j, 1.0) rows, one per key.
+def _smn_edges(n: int, p: float, keys: np.ndarray,
+               streams: PhiloxStreams) -> tuple[np.ndarray, ...]:
+    """Small-world lattices with probabilistic rewiring, one per key.
 
     The base ring couples every node to its nearest neighbors on each side
     (degree 4, the canonical small-world lattice: a degree-2 ring is so
@@ -202,8 +231,9 @@ def _smn_edges(n: int, p: float, keys: np.ndarray, streams: PhiloxStreams) -> li
     order, each drawing random() and, when it is below p, integers(count)
     over the count non-neighbors of i in increasing id order; an i with no
     non-neighbor keeps its edge.  Each lattice edge is rewired at most once,
-    at its visit, so a rewire sets j in its own row of the lattice array (j
-    may fall below i; WeightedGraph and the block sampler orient and sort).
+    at its visit.  A rewired edge (i, w) replaces its lattice edge's key by
+    its own, (min - 1) n + max - 1, and one sort of each trial's keys puts
+    the edges in WeightedGraph's order.
 
     The draws are decoded from raw words (rng.WordDraws).  One comparison
     of the block's prefetched words with p gives every rewire test, and only
@@ -211,18 +241,18 @@ def _smn_edges(n: int, p: float, keys: np.ndarray, streams: PhiloxStreams) -> li
     masks (bit j for node j), so count is a popcount and the chosen
     non-neighbor a short fixed-point search.
     """
-    lattice, rows, lattice_nbrs = _smn_lattice(n)
+    lattice, lattice_keys, lattice_nbrs = _smn_lattice(n)
     m = len(lattice)
     words = streams.words(keys, _smn_words(m))
-    hits = np.flatnonzero(unit_floats(words) < p)
-    ends = np.searchsorted(hits, np.arange(1, len(keys) + 1) * words.shape[1]).tolist()
-    hits = (hits % words.shape[1]).tolist()
-    out, first = [], 0
-    for key, row_words, last in zip(keys, words.tolist(), ends):
-        edges = rows.copy()
-        out.append(edges)
-        draws = WordDraws(streams, key, row_words)
-        targets, adj = edges[:, 1], list(lattice_nbrs)
+    width = words.shape[1]
+    hits = np.flatnonzero(unit_floats_below(words, p))
+    ends = np.searchsorted(hits, np.arange(1, len(keys) + 1) * width).tolist()
+    hits = (hits % width).tolist()
+    flat = memoryview(words.ravel())  # its items are ints, converted only when read
+    at, moved, first, offset = [], [], 0, 0  # the block's rewired edges and their new keys
+    for r, (key, last) in enumerate(zip(keys, ends)):
+        draws = WordDraws(streams, key, flat[r * width:(r + 1) * width])
+        adj = list(lattice_nbrs)
         for k in _rewired_edges(draws, hits[first:last], m, p):
             i, j = lattice[k]
             near = adj[i] | 1 << i
@@ -236,9 +266,15 @@ def _smn_edges(n: int, p: float, keys: np.ndarray, streams: PhiloxStreams) -> li
             adj[i] ^= 1 << j | 1 << w
             adj[j] ^= 1 << i
             adj[w] |= 1 << i
-            targets[k] = w
-        first = last
-    return out
+            at.append(offset + k)
+            moved.append((i - 1) * n + w - 1 if i < w else (w - 1) * n + i - 1)
+        first, offset = last, offset + m
+    edge_keys = np.tile(lattice_keys, len(keys))
+    edge_keys[at] = moved
+    edge_keys = edge_keys.reshape(len(keys), m)
+    edge_keys.sort(axis=1)
+    src, snk = np.divmod(edge_keys.ravel(), n)
+    return np.repeat(np.arange(len(keys)), m), src, snk
 
 
 def _rewired_edges(draws: WordDraws, tests: list[int], m: int, p: float):
@@ -286,30 +322,33 @@ def _topology_paths(samples: np.ndarray, window: int) -> np.ndarray:
     return paths.reshape(-1, 3)
 
 
-def _connected_draws(n: int, draws: list[np.ndarray]) -> np.ndarray:
-    """Per (i, j, weight) edge array, whether it connects nodes 1..n.
+def _connected_draws(n: int, count: int, row: np.ndarray, src: np.ndarray,
+                     snk: np.ndarray) -> np.ndarray:
+    """Per trial of a block of count trials with edges (row, src, snk), whether its
+    edges connect its n nodes.
 
-    All draws at once: the set reached from node 1 grows over every edge
-    with a reached end until it stops growing.
+    All trials at once, trial r's node i being r n + i: the set reached from
+    each trial's node 0 grows over every edge with a reached end until it
+    stops.  A newly reached node makes its edge back active, so the reached
+    set has stopped growing exactly when the active edges stop growing.
     """
-    edges = np.concatenate(draws)
-    ends = edges[:, :2].astype(np.intp)
-    ends += np.repeat(np.arange(-1, n * len(draws) - 1, n), [len(e) for e in draws])[:, None]
-    tails, heads = ends.T.ravel(), ends[:, ::-1].T.ravel()  # both directions
-    reached = np.zeros(n * len(draws), bool)
+    base = row * n
+    tails = np.concatenate([base + src, base + snk])  # both directions
+    heads = np.concatenate([tails[len(row):], tails[:len(row)]])
+    reached = np.zeros(n * count, bool)
     reached[::n] = True
-    count = len(draws)
+    active = heads[reached[tails]]
     while True:
-        reached[heads[reached[tails]]] = True
-        grown = np.count_nonzero(reached)
-        if grown == count:
-            return reached.reshape(-1, n).all(axis=1)
-        count = grown
+        reached[active] = True
+        grown = heads[reached[tails]]
+        if len(grown) == len(active):
+            return reached.reshape(count, n).all(axis=1)
+        active = grown
 
 
 def _connected_topologies(spec: NominalNetworkSpec, samples: np.ndarray, keys: np.ndarray,
-                          streams: PhiloxStreams) -> list[np.ndarray]:
-    """The first connected draw of each topology sample, as (i, j, 1.0) rows.
+                          streams: PhiloxStreams) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The first connected draw of each topology sample, as (found, row, src, snk).
 
     Topology sample s draws from the streams (seed, s, _STAGE_TOPOLOGY,
     inner) for inner = 0, 1, ... in turn, as generate_graph always has; keys,
@@ -317,31 +356,52 @@ def _connected_topologies(spec: NominalNetworkSpec, samples: np.ndarray, keys: n
     Inner draw 0 of every sample is made and tested first.  A sample still
     disconnected then draws the rest of its key window at once, and each
     later window whole; its first connected draw is kept, so the draws past
-    it change nothing.  The list stops before the first sample with no
-    connected draw in MAX_RETRIES: the samples after it are of no use to a
-    caller, which raises there.
+    it change nothing.  The edges are those of samples 0 .. found - 1 in the
+    builders' form, row being the sample's index: found stops before the
+    first sample with no connected draw in MAX_RETRIES, since the samples
+    after it are of no use to a caller, which raises there.
     """
-    build = _EDGE_MODELS[spec.model]
-    found: list = [None] * len(samples)
+    n, build = spec.n, _EDGE_MODELS[spec.model]
+    found, kept = len(samples), []  # kept: per round, the edges of its first connected draws
     pending = np.arange(len(samples))
     lo, hi = 0, 1  # the inner draws of this round
     while pending.size:
         if lo == MAX_RETRIES:
-            return found[:pending[0]]
+            found = int(pending[0])
+            break
         if lo % _TOPOLOGY_KEYS == 0 and lo:
             keys = philox_keys(spec.seed, _topology_paths(samples[pending], lo))
             keys = keys.reshape(len(pending), _TOPOLOGY_KEYS, 2)
         hi = min(hi, MAX_RETRIES)
         width, at = hi - lo, lo % _TOPOLOGY_KEYS
-        draws = build(spec.n, spec.p, keys[:, at:at + width].reshape(-1, 2), streams)
-        connected = _connected_draws(spec.n, draws).reshape(-1, width)
-        hit = connected.any(axis=1)
-        for r, k in zip(np.flatnonzero(hit).tolist(), connected.argmax(axis=1)[hit].tolist()):
-            found[pending[r]] = draws[r * width + k]
+        row, src, snk = build(n, spec.p, keys[:, at:at + width].reshape(-1, 2), streams)
+        chosen = _connected_draws(n, len(pending) * width, row, src, snk)
+        if width == 1:
+            hit = chosen
+            if hit.all():  # every draw is its sample's first connected one
+                kept.append((pending[row], src, snk))
+                break
+        else:  # the first connected draw of each sample
+            connected = chosen.reshape(-1, width)
+            hit = connected.any(axis=1)
+            chosen = np.zeros_like(connected)
+            chosen[hit, connected.argmax(axis=1)[hit]] = True
+            chosen = chosen.ravel()
+        keep = chosen[row]
+        kept.append((pending[row[keep] // width], src[keep], snk[keep]))
         pending, keys = pending[~hit], keys[~hit]
         lo = hi
         hi = (lo // _TOPOLOGY_KEYS + 1) * _TOPOLOGY_KEYS  # the end of lo's window
-    return found
+    if len(kept) == 1:
+        row, src, snk = kept[0]
+    else:  # each round's draws in sample order; a sample's edges stay in their order
+        row, src, snk = (np.concatenate(a) for a in zip(*kept))
+        order = np.argsort(row, kind="stable")
+        row, src, snk = row[order], src[order], snk[order]
+    if found < len(samples):
+        end = np.searchsorted(row, found)
+        row, src, snk = row[:end], src[:end], snk[:end]
+    return found, row, src, snk
 
 
 def generate_graph(spec: NominalNetworkSpec, sample: int = 0) -> WeightedGraph:
@@ -349,33 +409,30 @@ def generate_graph(spec: NominalNetworkSpec, sample: int = 0) -> WeightedGraph:
 
     Disconnected draws are discarded; after MAX_RETRIES attempts the
     (n, p) combination is declared infeasible.  The one-sample case of
-    nominal_network's topology draw.
+    nominal_network's topology draw.  A negative sample, or one past the
+    int64 stream paths, is an InvalidSpecError.
     """
-    samples = np.array([sample])
+    _check_sample(sample, 1)
+    samples = np.array([sample], np.int64)
     keys = philox_keys(spec.seed, _topology_paths(samples, 0)).reshape(1, _TOPOLOGY_KEYS, 2)
-    found = _connected_topologies(spec, samples, keys, PhiloxStreams())
+    found, _, src, snk = _connected_topologies(spec, samples, keys, PhiloxStreams())
     if not found:
         raise _connectivity_error(spec)
-    return WeightedGraph(spec.n, found[0])
-
-
-def _draw_weights(m: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=m)
+    return WeightedGraph(spec.n, np.column_stack((src + 1, snk + 1, np.ones(len(src)))))
 
 
 def sample_weights(g: WeightedGraph, rng: np.random.Generator) -> WeightedGraph:
     """Assign i.i.d. uniform [0.5, 5] weights, drawn from rng, to the (sorted) edge list."""
-    return g.with_weights(_draw_weights(g.m, rng))
+    return g.with_weights(rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=g.m))
 
 
-def _draw_frequencies(n: int, distribution: str, rng: np.random.Generator,
-                      alpha: float | None) -> np.ndarray:
-    """Raw natural frequencies of a checked distribution, before recentring."""
-    if distribution == "width":
-        return rng.uniform(-alpha / 2.0, alpha / 2.0, size=n)
-    if distribution == "uniform":
-        return rng.uniform(-1.0, 1.0, size=n)
-    return rng.choice(np.array([-1.0, 1.0]), size=n)
+_BIPOLAR = np.array([-1.0, 1.0])
+_BIPOLAR.flags.writeable = False
+
+
+def _frequency_bounds(distribution: str, alpha: float | None) -> tuple[float, float]:
+    """The interval of a checked width or uniform distribution."""
+    return (-alpha / 2.0, alpha / 2.0) if distribution == "width" else (-1.0, 1.0)
 
 
 def sample_frequencies(
@@ -387,8 +444,34 @@ def sample_frequencies(
     InvalidSpecError (a ValueError).
     """
     _check_distribution(distribution, alpha)
-    q = _draw_frequencies(n, distribution, rng, alpha)
+    if distribution == "bipolar":
+        q = rng.choice(_BIPOLAR, size=n)
+    else:
+        q = rng.uniform(*_frequency_bounds(distribution, alpha), size=n)
     return q - q.sum() / n  # q.mean() bit for bit, minus its overhead
+
+
+def _block_frequencies(spec: NominalNetworkSpec, keys: np.ndarray,
+                       streams: PhiloxStreams) -> np.ndarray:
+    """sample_frequencies of the stream of every key, (len(keys), n), decoded from raw
+    words: a word per node, or for bipolar a 32-bit half per node."""
+    n = spec.n
+    if spec.distribution == "bipolar":
+        q = _BIPOLAR[coin_flips(streams.words(keys, (n + 1) // 2), n)]
+    else:
+        lo, hi = _frequency_bounds(spec.distribution, spec.alpha)
+        q = uniform_floats(streams.words(keys, n), lo, hi)
+    return q - q.sum(axis=1, keepdims=True) / n
+
+
+def _block_weights(keys: np.ndarray, starts: np.ndarray, streams: PhiloxStreams) -> np.ndarray:
+    """sample_weights' draws for trials whose edges are starts[r] .. starts[r + 1] - 1, from
+    the stream of keys[r], trial after trial: the first words of each stream, decoded."""
+    counts = starts[1:] - starts[:-1]
+    words = streams.words(keys, int(counts.max()))
+    if words.size != starts[-1]:  # not every trial has the most edges
+        words = words[np.arange(words.shape[1]) < counts[:, None]]
+    return uniform_floats(words, WEIGHT_LOW, WEIGHT_HIGH).ravel()
 
 
 def _node_sums(n: int, row: np.ndarray, src: np.ndarray, snk: np.ndarray,
@@ -409,31 +492,45 @@ def _stacked_margins(n: int, row: np.ndarray, starts: np.ndarray, src: np.ndarra
     Trial r's graph g_r has the edges starts[r] .. starts[r + 1] - 1, sorted,
     with 0-based ends src < snk and the given weights; row[k] is edge k's
     trial and degrees, (R, n), are _node_sums of the weights.  The augmented
-    Laplacians L + 11^T/n are built as WeightedGraph.laplacian() and
-    solve_poisson build them, and solved in one stacked LAPACK call after
-    the same two recentrings of omega, (R, n).
+    Laplacians L + 11^T/n of the solved trials are built as
+    WeightedGraph.laplacian() and solve_poisson build them, every entry
+    plus 1/n, and solved in one stacked LAPACK call after the same two
+    recentrings of omega, (R, n).
     """
-    lap = np.zeros((len(omega), n * n))
-    lap[:, ::n + 1] = degrees
+    margins = np.full(len(omega), np.inf)
+    picked = np.flatnonzero(solve)
+    if not picked.size:
+        return margins
+    starts = starts[:-1]
+    if picked.size < len(omega):  # the solved trials' edges, their rows renumbered
+        edges = solve[row]
+        row = (np.cumsum(solve) - 1)[row[edges]]
+        src, snk, weights = src[edges], snk[edges], weights[edges]
+        degrees, omega = degrees[picked], omega[picked]
+        starts = np.searchsorted(row, np.arange(picked.size))
+    inv = 1.0 / n
+    lap = np.full((picked.size, n * n), inv)
+    lap[:, ::n + 1] = degrees + inv
     lap = lap.reshape(-1, n, n)
-    lap[row, src, snk] = lap[row, snk, src] = -weights
-    lap += 1.0 / n
+    lap[row, src, snk] = lap[row, snk, src] = inv - weights  # -w + 1/n, the same double
     x = omega - omega.sum(axis=1, keepdims=True) / n  # recenter_frequencies
     x -= x.sum(axis=1, keepdims=True) / n  # solve_poisson's centring
-    y = np.zeros((len(omega), n))
-    y[solve] = np.linalg.solve(lap[solve], x[solve, :, None])[:, :, 0]
+    y = np.linalg.solve(lap, x[:, :, None])[:, :, 0]
     y -= y.sum(axis=1, keepdims=True) / n
-    margins = np.maximum.reduceat(abs(y[row, snk] - y[row, src]), starts[:-1])
-    margins[~solve] = np.inf
+    margins[picked] = np.maximum.reduceat(abs(y[row, snk] - y[row, src]), starts)
     return margins
 
 
 @dataclass(frozen=True, eq=False)
 class NominalNetwork:
+    """An accepted draw: attempts counts the trials up to and including it, and
+    cut_rejections those of them the node-cut filter rejected without a solve."""
+
     graph: WeightedGraph
     omega: np.ndarray
     margin: float
     attempts: int
+    cut_rejections: int
 
 
 # Trials per block: one in the first block, BLOCK_GROWTH times the previous
@@ -442,23 +539,11 @@ BLOCK_GROWTH = 2
 MAX_BLOCK = 32
 
 
-def _stack(n: int, draws: list[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """The edges of (i, j, weight) draws, one trial each, as WeightedGraph stores them:
-    per edge its trial, then its 0-based ends src < snk sorted within the trial,
-    and each trial's first edge (and the edge count last)."""
-    counts = [len(e) for e in draws]
-    starts = np.zeros(len(draws) + 1, np.intp)
-    np.cumsum(counts, out=starts[1:])
-    row = np.repeat(np.arange(len(draws)), counts)
-    ij = np.concatenate(draws)[:, :2].astype(np.intp)
-    ij.sort(axis=1)
-    ij = ij[np.argsort((row * n + ij[:, 0]) * n + ij[:, 1])] - 1
-    return row, starts, ij[:, 0], ij[:, 1]
-
-
 def _decide_block(spec: NominalNetworkSpec, sample: int, start: int, size: int,
-                  streams: PhiloxStreams) -> NominalNetwork | None:
-    """The first accepted trial among start .. start + size - 1, or None.
+                  streams: PhiloxStreams, cut_rejections: int) -> tuple[NominalNetwork | None, int]:
+    """The first accepted trial among start .. start + size - 1, or None, and
+    cut_rejections plus the node-cut rejections of the block's trials before it
+    (of all of them with None).
 
     Trial t's topology is topology sample sample * MAX_RETRIES + t; its
     weights and frequencies come from the streams (seed, sample, stage, t).
@@ -468,25 +553,22 @@ def _decide_block(spec: NominalNetworkSpec, sample: int, start: int, size: int,
     n, trials = spec.n, np.arange(start, start + size)
     samples = sample * MAX_RETRIES + trials
     stages = [_STAGE_WEIGHTS, _STAGE_FREQUENCIES] if spec.weighted else [_STAGE_FREQUENCIES]
-    stage_paths = np.empty((size, len(stages), 3), np.int64)
+    stage_paths = np.empty((len(stages), size, 3), np.int64)
     stage_paths[:, :, 0] = sample
-    stage_paths[:, :, 1] = stages
-    stage_paths[:, :, 2] = trials[:, None]
+    stage_paths[:, :, 1] = np.array(stages)[:, None]
+    stage_paths[:, :, 2] = trials
     keys = philox_keys(spec.seed, np.concatenate([_topology_paths(samples, 0),
                                                   stage_paths.reshape(-1, 3)]))
-    stage_keys = keys[size * _TOPOLOGY_KEYS:].reshape(size, len(stages), 2)
+    stage_keys = keys[size * _TOPOLOGY_KEYS:].reshape(len(stages), size, 2)
     keys = keys[:size * _TOPOLOGY_KEYS].reshape(size, _TOPOLOGY_KEYS, 2)
-    draws = _connected_topologies(spec, samples, keys, streams)
-    if draws:
-        row, starts, src, snk = _stack(n, draws)
+    found, row, src, snk = _connected_topologies(spec, samples, keys, streams)
+    if found:
+        starts = np.searchsorted(row, np.arange(found + 1))
         if spec.weighted:
-            weights = np.concatenate([_draw_weights(len(e), streams.keyed(key))
-                                      for e, key in zip(draws, stage_keys[:, 0])])
+            weights = _block_weights(stage_keys[0, :found], starts, streams)
         else:
             weights = np.ones(len(row))
-        q = np.array([_draw_frequencies(n, spec.distribution, streams.keyed(key), spec.alpha)
-                      for key in stage_keys[:len(draws), -1]])
-        omega = q - q.sum(axis=1, keepdims=True) / n  # sample_frequencies' recentring
+        omega = _block_frequencies(spec, stage_keys[-1, :found], streams)
         degrees = _node_sums(n, row, src, snk, weights)
         solve = (abs(omega) / degrees).max(axis=1) < 1.0 + CUT_SLACK  # the node-cut filter
         margins = _stacked_margins(n, row, starts, src, snk, weights, degrees, omega, solve)
@@ -495,11 +577,14 @@ def _decide_block(spec: NominalNetworkSpec, sample: int, start: int, size: int,
             g = WeightedGraph(n, np.column_stack((src[part] + 1, snk[part] + 1, weights[part])))
             margin = sync_margin(g, omega[r]).margin
             if margin < 1.0:
+                cut_rejections += r - int(np.count_nonzero(solve[:r]))
                 return NominalNetwork(graph=g, omega=omega[r].copy(), margin=margin,
-                                      attempts=start + r + 1)
-    if len(draws) < size:
+                                      attempts=start + r + 1,
+                                      cut_rejections=cut_rejections), cut_rejections
+        cut_rejections += found - int(np.count_nonzero(solve))
+    if found < size:
         raise _connectivity_error(spec)
-    return None
+    return None, cut_rejections
 
 
 def nominal_network(spec: NominalNetworkSpec, sample: int = 0) -> NominalNetwork:
@@ -507,13 +592,16 @@ def nominal_network(spec: NominalNetworkSpec, sample: int = 0) -> NominalNetwork
 
     Trials are drawn and filtered in blocks; a trial whose node-cut ratio
     and stacked margin are both below 1 + CUT_SLACK is decided by
-    sync_margin, in trial order (module docstring).
+    sync_margin, in trial order (module docstring).  A negative sample, or
+    one whose topology samples pass the int64 stream paths, is an
+    InvalidSpecError.
     """
+    _check_sample(sample, MAX_RETRIES)
     streams = PhiloxStreams()
-    start, size = 0, 1
+    start, size, cut_rejections = 0, 1, 0
     while start < MAX_RETRIES:
         size = min(size, MAX_RETRIES - start)
-        found = _decide_block(spec, sample, start, size, streams)
+        found, cut_rejections = _decide_block(spec, sample, start, size, streams, cut_rejections)
         if found is not None:
             return found
         start += size

@@ -22,18 +22,22 @@ of uint32 array operations over all paths at once.
 
 Raw words.  PhiloxStreams.words reads the raw 64-bit words of many streams,
 one random_raw call per stream, and the draws are decoded from them as
-numpy's Generator decodes them: random() is (w >> 11) * 2^-53
-(unit_floats, any array of words at once), and integers(c) is Lemire's
-bounded method on 32-bit halves, a fresh word giving its low half first
-and keeping its high half for the next bounded draw (WordDraws, which
-reads on from the stream past the words it was given).  The decoding is
-numpy 2's: tests/test_rng.py checks it against Generator.random,
-Generator.integers and Generator.uniform on thousands of streams, so a
-numpy that changed it would fail there, not move a sample silently.
+numpy's Generator decodes them.  random() is (w >> 11) * 2^-53
+(unit_floats, any array of words at once; unit_floats_below compares it
+with a probability in integers) and uniform(lo, hi) is lo + (hi - lo)
+times that (uniform_floats).  integers(c) is Lemire's bounded method on
+32-bit halves, a fresh word giving its low half first and keeping its high
+half for the next bounded draw (WordDraws, which reads on from the stream
+past the words it was given); for c = 2, the bound of a choice between two
+items, it is the top bit of each half (coin_flips).  The decoding is numpy
+2's: tests/test_rng.py checks it against Generator.random, integers,
+uniform and choice on thousands of streams, so a numpy that changed it
+would fail there, not move a sample silently.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -143,6 +147,7 @@ def _word_constants(const: int, words: int) -> tuple[np.ndarray, np.ndarray]:
 
 _OUT = _powers(_INIT_B, _MULT_B, _POOL)  # generate_state's hash constants, one per word
 _OUT_XOR, _OUT_MULT = np.array(_OUT[:-1], _U32), np.array(_OUT[1:], _U32)
+_SHIFT_16, _MIX_L_32, _MIX_R_32 = _U32(16), _U32(_MIX_L), _U32(_MIX_R)
 
 
 def philox_keys(seed: int, paths) -> np.ndarray:
@@ -156,19 +161,20 @@ def philox_keys(seed: int, paths) -> np.ndarray:
     paths = np.asarray(paths)
     words, counts = _path_words(paths.reshape(len(paths), -1))
     xor, mult = _word_constants(const, len(words))
-    h = (words[:, :, None] ^ xor[:, None]) * mult[:, None]  # every hashmix of a path word
-    h ^= h >> _U32(16)
-    h *= _U32(_MIX_R)
-    pool = np.empty((words.shape[1], _POOL), _U32)  # one row per path
-    pool[:] = pool0
+    h = words[:, :, None] ^ xor[:, None]  # every hashmix of a path word
+    h *= mult[:, None]
+    h ^= h >> _SHIFT_16
+    h *= _MIX_R_32
+    pool = np.array(pool0, _U32)  # every path's pool, broadcast until the first word
     for j in range(len(words)):  # mix(pool word, hashmix(word j)) for each pool word
-        mixed = _U32(_MIX_L) * pool
-        mixed -= h[j]
-        mixed ^= mixed >> _U32(16)
+        mixed = _MIX_L_32 * pool - h[j]
+        mixed ^= mixed >> _SHIFT_16
         pool = mixed if counts is None else np.where((j < counts)[:, None], mixed, pool)
+    if not len(words):  # empty paths: no word has broadcast the seed's pool
+        pool = np.tile(pool, (words.shape[1], 1))
     pool ^= _OUT_XOR
     pool *= _OUT_MULT
-    pool ^= pool >> _U32(16)
+    pool ^= pool >> _SHIFT_16
     # word pairs read little-endian, as generate_state combines them
     return pool.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
@@ -193,24 +199,16 @@ class PhiloxStreams:
     def __init__(self):
         self._bitgen = np.random.Philox(_Unkeyed())
         self._generator = np.random.Generator(self._bitgen)
-        self._counter = np.zeros(4, np.uint64)
-        self._state = {"bit_generator": "Philox",
-                       "state": {"counter": self._counter, "key": None},
-                       "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
-                       "has_uint32": 0, "uinteger": 0}
-
-    def _seek(self, key: np.ndarray, start: int) -> None:
-        """Position the generator at word start (a multiple of 4) of key's stream.
-
-        Philox adds one to its counter before it enciphers the next four
-        words, so words 4c .. 4c + 3 follow counter c.
-        """
-        self._counter[0] = start // 4
-        self._state["state"]["key"] = key
-        self._bitgen.state = self._state
+        # Python ints throughout: the state setter reads them faster than numpy
+        # array elements, and copies every value into the generator.
+        self._stream = {"counter": [0, 0, 0, 0], "key": [0, 0]}
+        self._state = {"bit_generator": "Philox", "state": self._stream,
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def keyed(self, key: np.ndarray) -> np.random.Generator:
-        self._seek(key, 0)
+        self._stream["counter"][0] = 0
+        self._stream["key"] = key.tolist()
+        self._bitgen.state = self._state
         return self._generator
 
     def words(self, keys: np.ndarray, count: int, start: int = 0) -> np.ndarray:
@@ -218,12 +216,17 @@ class PhiloxStreams:
 
         start is a multiple of 4.  Word w is the w-th next_uint64 of a
         generator keyed(key): Generator.random() decodes it with unit_floats,
-        Generator.integers with WordDraws.integers.
+        Generator.integers with WordDraws.integers.  Philox adds one to its
+        counter before it enciphers the next four words, so words 4c .. 4c + 3
+        follow counter c.
         """
         out = np.empty((len(keys), count), np.uint64)
-        raw = self._bitgen.random_raw
-        for r, key in enumerate(keys):
-            self._seek(key, start)
+        bitgen, state, stream = self._bitgen, self._state, self._stream
+        raw = bitgen.random_raw
+        stream["counter"][0] = start // 4
+        for r, key in enumerate(keys.tolist()):
+            stream["key"] = key
+            bitgen.state = state
             out[r] = raw(count)
         return out
 
@@ -241,6 +244,37 @@ def unit_floats(words: np.ndarray) -> np.ndarray:
     return (words >> _SHIFT).astype(np.float64) * _UNIT
 
 
+def unit_floats_below(words: np.ndarray, p: float) -> np.ndarray:
+    """unit_floats(words) < p, compared as integers: for p < 1, (w >> 11) 2^-53 < p
+    exactly when w < 2^11 ceil(2^53 p), and 2^53 p is exact."""
+    if p >= 1.0:
+        return np.ones(words.shape, bool)
+    return words < np.uint64(max(math.ceil(p * 2.0 ** 53), 0) << 11)
+
+
+def uniform_floats(words: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Generator.uniform(low, high) of each raw word: low + (high - low) * unit_floats(word).
+
+    numpy's random_uniform, with the range high - low taken in double
+    precision first; each step is one IEEE double operation, so the bits
+    are the same.
+    """
+    return low + (high - low) * unit_floats(words)
+
+
+def coin_flips(words: np.ndarray, count: int) -> np.ndarray:
+    """Generator.integers(2, size=count) of each row of raw words, a fresh stream's
+    first draws; Generator.choice of one of two items draws the same indices.
+
+    Lemire's method on a 32-bit half h with bound 2 gives (2 h) >> 32, the
+    top bit of h, and never rejects.  Each word gives its low half first,
+    then its high half, so a row needs (count + 1) // 2 words; the rows of
+    words must be C-contiguous.  Returns (..., count) uint32 zeros and ones.
+    """
+    halves = words.astype("<u8", copy=False).view("<u4")
+    return halves[..., :count] >> np.uint32(31)
+
+
 # Words WordDraws reads on at a time once its prefetched words are used up.
 _READ_ON = 16
 
@@ -249,11 +283,11 @@ class WordDraws:
     """Generator.random() and Generator.integers(c) of one stream, decoded from
     its raw words in the order a generator keyed(key) would draw them.
 
-    words are the stream's first raw words (a list of ints, a multiple of 4
-    of them, as streams.words gives); a draw past them reads on from the
-    stream, _READ_ON words at a time.  pos is the index of the next unread
-    word: a caller that has decoded words itself, with unit_floats, moves pos
-    past them as the same random() calls would.
+    words are the stream's first raw words as a sequence of ints, a multiple
+    of 4 of them (a list, or a memoryview of a row of streams.words); a draw
+    past them reads on from the stream, _READ_ON words at a time.  pos is the
+    index of the next unread word: a caller that has decoded words itself,
+    with unit_floats, moves pos past them as the same random() calls would.
 
     The decoding is numpy 2's (tests/test_rng.py pins it to Generator on
     thousands of streams).  random() takes one fresh word.  integers(c) is
@@ -264,14 +298,15 @@ class WordDraws:
 
     __slots__ = ("_streams", "_key", "words", "pos", "_half")
 
-    def __init__(self, streams: PhiloxStreams, key: np.ndarray, words: list[int]):
+    def __init__(self, streams: PhiloxStreams, key: np.ndarray, words):
         self._streams, self._key = streams, key
         self.words, self.pos, self._half = words, 0, None
 
     def _word(self) -> int:
         pos = self.pos
         if pos == len(self.words):
-            self.words += self._streams.words(self._key[None], _READ_ON, pos)[0].tolist()
+            more = self._streams.words(self._key[None], _READ_ON, pos)[0].tolist()
+            self.words = [*self.words, *more]
         self.pos = pos + 1
         return self.words[pos]
 

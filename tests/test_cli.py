@@ -307,6 +307,21 @@ def test_montecarlo_rejects_zero_samples(tmp_path, capsys):
     assert capsys.readouterr().err == "error: need at least one sample\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("gen --model erg --n 10 --p 0.5 --alpha 3 --seed -1", "seed must be non-negative, got -1"),
+    ("gen --model erg --n 10 --p 0.5 --alpha 3 --sample -1", "got -1"),
+    # sample * MAX_RETRIES does not fit the int64 stream paths
+    ("gen --model erg --n 10 --p 0.5 --alpha 3 --sample 1125899906842624",
+     "got 1125899906842624"),
+    ("accuracy --seed -1", "seed must be non-negative, got -1"),
+    (f"scenario --case {RTS96} --seed -1", "seed must be non-negative, got -1"),
+], ids=["gen-seed", "gen-sample", "gen-sample-overflow", "accuracy-seed", "scenario-seed"])
+def test_cli_rejects_bad_seeds_and_samples(tmp_path, capsys, argv, message):
+    assert main(argv.split() + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_gen_rejects_out_of_range_p(capsys):
     # an erg edge probability above one is an input error, not a traceback
     code = main(["gen", "--model", "erg", "--n", "8", "--p", "2", "--alpha", "5"])

@@ -83,9 +83,9 @@ def _smn_edges_reference(n: int, p: float, rng: np.random.Generator) -> list[tup
 def _scalar_smn_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     """The small-world builder one Generator call at a time: each lattice edge in sorted
     order draws rng.random() and, when rewired, rng.integers(count) over the non-neighbors
-    of i in increasing id order; _smn_edges must give these rows key for key."""
-    lattice, rows, _ = _smn_lattice(n)
-    edges = rows.copy()
+    of i in increasing id order; _smn_edges must give these edges key for key."""
+    lattice = _smn_lattice(n)[0]
+    edges = np.array([(i, j, 1.0) for i, j in lattice]).reshape(-1, 3)
     adj = [set() for _ in range(n + 1)]
     for i, j in lattice:
         adj[i].add(j)
@@ -109,18 +109,40 @@ def _scalar_smn_edges(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     return edges
 
 
+def _pair_rows(n):
+    iu, ju = _pairs(n)
+    return np.column_stack((iu + 1, ju + 1, np.ones(len(iu))))
+
+
 def _scalar_erg_edges(n, p, rng):
-    rows = _pairs(n)[2]
+    rows = _pair_rows(n)
     return rows[rng.random(len(rows)) < p]
 
 
 def _scalar_rgg_edges(n, radius, rng):
     pts = rng.random((n, 2))
-    iu, ju, rows = _pairs(n)
-    return rows[np.linalg.norm(pts[iu] - pts[ju], axis=1) <= radius]
+    iu, ju = _pairs(n)
+    return _pair_rows(n)[np.linalg.norm(pts[iu] - pts[ju], axis=1) <= radius]
 
 
 _SCALAR_MODELS = {"erg": _scalar_erg_edges, "rgg": _scalar_rgg_edges, "smn": _scalar_smn_edges}
+
+
+def _trial_edges(block, count):
+    """A block builder's (row, src, snk) as one list of 1-based (i, j) pairs per trial,
+    checking the form the block sampler relies on: trials in order, i < j sorted."""
+    row, src, snk = block
+    assert np.all(np.diff(row) >= 0) and np.all(src < snk)
+    trials = [[] for _ in range(count)]
+    for r, i, j in zip(row.tolist(), src.tolist(), snk.tolist()):
+        trials[r].append((i + 1, j + 1))
+    assert all(edges == sorted(edges) for edges in trials)
+    return trials
+
+
+def _oriented(rows):
+    """(i, j, w) rows as the sorted list of their (min, max) pairs."""
+    return sorted((min(i, j), max(i, j)) for i, j in rows[:, :2].astype(int).tolist())
 
 
 def test_smn_edges_match_reference_sampler():
@@ -130,10 +152,9 @@ def test_smn_edges_match_reference_sampler():
     for n in (3, 4, 5, 6, 7, 10, 20, 30, 50):
         for p in (0.0, 0.1, 0.2, 0.5, 0.9, 1.0):
             keys = np.concatenate([philox_keys(seed, [[1]]) for seed in range(60)])
-            for seed, got in enumerate(_smn_edges(n, p, keys, streams)):
+            for seed, got in enumerate(_trial_edges(_smn_edges(n, p, keys, streams), 60)):
                 want = _smn_edges_reference(n, p, substream(seed, 1))
-                rows = sorted((min(i, j), max(i, j), w) for i, j, w in got.tolist())
-                assert rows == sorted(want), (n, p, seed)
+                assert got == sorted((i, j) for i, j, _ in want), (n, p, seed)
 
 
 @pytest.mark.parametrize("prefetch", [None, 4])
@@ -151,9 +172,10 @@ def test_smn_block_matches_scalar_builder(monkeypatch, prefetch):
         for block in (1, 32):
             keys = philox_keys(case, np.arange(1000 if prefetch is None else 64)[:, None])
             for at in range(0, len(keys), block):
-                got = _smn_edges(n, p, keys[at:at + block], streams)
-                for key, edges in zip(keys[at:at + block], got):
-                    assert edges.tobytes() == _scalar_smn_edges(n, p, streams.keyed(key)).tobytes()
+                chunk = keys[at:at + block]
+                got = _trial_edges(_smn_edges(n, p, chunk, streams), len(chunk))
+                for key, edges in zip(chunk, got):
+                    assert edges == _oriented(_scalar_smn_edges(n, p, streams.keyed(key)))
                     draws += 1
     assert draws >= (20_000 if prefetch is None else 1_000)
 
@@ -301,6 +323,7 @@ def test_nominal_network_decisions_match_plain_rejection_loop(model, n, p, alpha
         assert nominal.omega.tobytes() == omega.tobytes()
         assert nominal.margin == margin
         assert nominal.attempts == attempts
+        assert nominal.cut_rejections == cut_rejectable
         skipped += cut_rejectable
     assert skipped > 0  # the pre-filter was exercised on this model
 
@@ -384,7 +407,7 @@ def test_erg_edge_count_moment():
     n, p, draws = 10, 0.7, 10_000
     pairs = n * (n - 1) // 2
     keys = philox_keys(17, np.arange(draws)[:, None])  # the streams substream(17, t)
-    counts = np.array([len(e) for e in _erg_edges(n, p, keys, PhiloxStreams())])
+    counts = np.bincount(_erg_edges(n, p, keys, PhiloxStreams())[0], minlength=draws)
     expected = p * pairs
     sigma_mean = np.sqrt(pairs * p * (1 - p) / draws)
     assert abs(counts.mean() - expected) <= 3 * sigma_mean
@@ -423,3 +446,18 @@ def test_spec_validation():
             NominalNetworkSpec(n=10, model=model, p=p, alpha=1.0)
     assert issubclass(InvalidSpecError, ValueError)
     assert issubclass(InvalidSpecError, SyncgridError)
+    with pytest.raises(InvalidSpecError, match="seed must be non-negative"):
+        NominalNetworkSpec(n=10, model="erg", p=0.5, alpha=1.0, seed=-1)
+
+
+def test_samples_must_fit_the_stream_paths():
+    # topology sample s takes the path entry s; nominal sample k the entries
+    # k * MAX_RETRIES + t for t < MAX_RETRIES: every one must fit an int64
+    s = spec(n=6, model="erg", p=0.9, alpha=1.0)
+    last = 2**63 // MAX_RETRIES - 1
+    for call, bad in ((generate_graph, 2**63), (nominal_network, last + 1)):
+        for sample in (-1, bad):
+            with pytest.raises(InvalidSpecError, match=f"got {sample}"):
+                call(s, sample)
+    assert generate_graph(s, 2**63 - 1).n == 6
+    assert nominal_network(s, last).margin < 1.0

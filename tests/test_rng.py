@@ -1,10 +1,13 @@
 """Stream keys and raw words: philox_keys, PhiloxStreams and the word decoders against
 numpy's SeedSequence, substream and Generator (the decoding is numpy 2.4's)."""
 
+import math
+
 import numpy as np
 import pytest
 
-from syncgrid.rng import PhiloxStreams, WordDraws, philox_keys, substream, unit_floats
+from syncgrid.rng import (PhiloxStreams, WordDraws, coin_flips, philox_keys, substream,
+                          uniform_floats, unit_floats, unit_floats_below)
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130)
 
@@ -116,3 +119,31 @@ def test_unit_floats_equal_random_and_uniform():
         assert (lo + (hi - lo) * unit_floats(words[r])).tobytes() == uniform.tobytes()
         if r < 50:
             assert np.array_equal(later[r], words[r, 40:56])
+
+
+def test_uniform_floats_and_coin_flips_equal_uniform_and_choice():
+    # 2,000 streams and odd, even and two-node counts: the block sampler's weights are
+    # uniform(0.5, 5.0, m), its frequencies uniform(-a/2, a/2, n), uniform(-1, 1, n)
+    # or choice([-1.0, 1.0], n), a 32-bit half per node
+    streams, signs = PhiloxStreams(), np.array([-1.0, 1.0])
+    keys = philox_keys(23, np.arange(2000)[:, None])
+    for count in (2, 7, 30, 61):
+        words = streams.words(keys, count)
+        flips = signs[coin_flips(streams.words(keys, (count + 1) // 2), count)]
+        laws = [(0.5, 5.0), (-13.0 / 2, 13.0 / 2), (-1.0, 1.0)]
+        decoded = [uniform_floats(words, lo, hi) for lo, hi in laws]
+        for r, key in enumerate(keys):
+            for (lo, hi), got in zip(laws, decoded):
+                assert got[r].tobytes() == streams.keyed(key).uniform(lo, hi, count).tobytes()
+            assert flips[r].tobytes() == streams.keyed(key).choice(signs, count).tobytes()
+
+
+def test_unit_floats_below_equals_the_float_comparison():
+    # random words and the words next to each integer threshold, for probabilities
+    # from 0 through the largest double below 1 to 1
+    words = PhiloxStreams().words(philox_keys(4, np.arange(50)[:, None]), 40).ravel()
+    for p in (0.0, 2.0**-60, 1e-9, 0.2, 0.3, 0.5, 1 / 3, 1 - 2.0**-53, 1.0):
+        edge = np.uint64(min(math.ceil(p * 2.0**53), 2**53 - 1) << 11)
+        near = edge + np.array([-2049, -2048, -1, 0, 1, 2047, 2048], np.int64).astype(np.uint64)
+        both = np.concatenate([words, near, np.array([0, 2**64 - 1], np.uint64)])
+        assert np.array_equal(unit_floats_below(both, p), unit_floats(both) < p), p

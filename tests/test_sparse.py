@@ -11,6 +11,8 @@ from conftest import (count_calls, pseudoinverse, random_connected_graph, random
 from syncgrid import equilibrium, graph
 from syncgrid.equilibrium import (
     _factor_grounded,
+    _grounded_minus_jacobian,
+    _one_norm,
     _stable_by_factor,
     assess_stability,
     fixed_point_residual,
@@ -162,3 +164,19 @@ def test_factor_verdict_equals_eigvalsh_verdict():
     for theta, expected in ((stable, True), (unstable, False)):
         assert _stable_by_factor(g, theta) == expected
         assert assess_stability(g, theta, omega).stable == expected
+
+
+def test_one_norm_from_stored_entries_equals_column_sums():
+    # the grounded -J of the tiled n = 1022 grid at its Newton solution and at the seed
+    # angles: the same bits as scipy's abs(A).sum(axis=0), which adds the same stored
+    # entries in the same order, and the dense column sums to within the rounding of
+    # a sum of at most k terms, k eps relative
+    g, omega = tiled_rts96(14)
+    omega = 0.5 * (omega - omega.mean())
+    for theta in (np.zeros(g.n), solve_equilibrium(g, omega).theta):
+        a = _grounded_minus_jacobian(g, theta)
+        assert isinstance(a, sparse.csc_array) and a.shape == (1021, 1021)
+        assert _one_norm(a) == float(np.max(abs(a).sum(axis=0)))
+        k = np.diff(a.indptr).max()
+        dense = np.abs(a.toarray()).sum(axis=0).max()
+        assert _one_norm(a) == pytest.approx(dense, rel=k * np.finfo(float).eps, abs=0)
