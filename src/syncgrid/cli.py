@@ -164,6 +164,8 @@ def _cmd_powerflow(args) -> int:
 def _cmd_scenario(args) -> int:
     case = powerflow.load_case(args.case)
     cfg = powerflow.ScenarioConfig(sigma=args.sigma, seed=args.seed)
+    if args.samples < 1:
+        raise InvalidSpecError("need at least one sample")
     header = ["sample", "margin", "gamma_pred", "cohesiveness", "accuracy", "correct"]
     rows = []
     for k in range(args.samples):
@@ -212,6 +214,8 @@ def _dynamic_cross_check(case, trips, ramp, limit_loading: float | None) -> dict
 def _cmd_contingency(args) -> int:
     case = powerflow.load_case(args.case)
     ramp = _parse_ramp(args.ramp)
+    if args.points < 1:
+        raise InvalidSpecError("need at least one loading point")
     loadings = np.linspace(0.0, args.max_loading, args.points)
     scan = powerflow.contingency_scan(case, args.trip, ramp, loadings=loadings)
     header = ["loading", "margin", "line_utilization"]

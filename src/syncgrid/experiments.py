@@ -143,6 +143,8 @@ def accuracy_experiment(
     threshold (the condition is sufficient); trees and bipolar complete
     graphs give ratio one.
     """
+    if samples < 1:
+        raise InvalidSpecError("need at least one sample")
     spec = NominalNetworkSpec(n=n, model=model, p=p, distribution=distribution,
                               weighted=False, seed=seed)
     ratios: list[float] = []

@@ -449,29 +449,28 @@ def scenario_sample(
 
 # --- randomized smart-grid scenarios ---
 
+# Shares, by count, of the load and generation buses a scenario perturbs, and
+# of the generation (fast-ramping) and load (controllable) buses that rebalance it.
+LOAD_FLUCT_FRACTION = 0.5
+GEN_FLUCT_FRACTION = 0.33
+FAST_RAMP_FRACTION = 0.10
+CONTROLLABLE_LOAD_FRACTION = 0.10
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Randomization of loads/generation plus balancing sources.
 
-    Fractions select subsets by count (rounded; balancing counts round up
-    so at least one adjustable source exists whenever the pool is
-    nonempty).  Perturbations are Gaussian around the nominal injection
-    with standard deviation sigma in per unit.
+    The module's fractions select subsets by count (rounded; balancing
+    counts round up so at least one adjustable source exists whenever the
+    pool is nonempty).  Perturbations are Gaussian around the nominal
+    injection with standard deviation sigma in per unit.
     """
 
-    load_fluct_fraction: float = 0.5
-    gen_fluct_fraction: float = 0.33
     sigma: float = 0.3
-    fast_ramp_fraction: float = 0.10
-    controllable_load_fraction: float = 0.10
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("load_fluct_fraction", "gen_fluct_fraction",
-                     "fast_ramp_fraction", "controllable_load_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise InvalidSpecError(f"{name} must lie in [0, 1], got {value}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
             raise InvalidSpecError(f"sigma must be finite and non-negative, got {self.sigma}")
         if self.seed < 0:
@@ -491,19 +490,16 @@ def randomize_scenario(case: PowerCase, cfg: ScenarioConfig, sample: int = 0) ->
     loads = [b.id for b in case.buses if b.pd_mw > 0]
 
     def pick(pool: list[int], count: int) -> set[int]:
-        if count <= 0 or not pool:
+        if count == 0:
             return set()
-        count = min(count, len(pool))
         return set(int(x) for x in rng.choice(pool, size=count, replace=False))
 
-    fluct_loads = pick(loads, int(round(cfg.load_fluct_fraction * len(loads))))
-    fluct_gens = pick(gens, int(round(cfg.gen_fluct_fraction * len(gens))))
-    ramp_gens = pick(gens, math.ceil(cfg.fast_ramp_fraction * len(gens))
-                     if cfg.fast_ramp_fraction > 0 else 0)
-    ctrl_loads = pick(loads, math.ceil(cfg.controllable_load_fraction * len(loads))
-                      if cfg.controllable_load_fraction > 0 else 0)
+    fluct_loads = pick(loads, round(LOAD_FLUCT_FRACTION * len(loads)))
+    fluct_gens = pick(gens, round(GEN_FLUCT_FRACTION * len(gens)))
+    ramp_gens = pick(gens, math.ceil(FAST_RAMP_FRACTION * len(gens)))
+    ctrl_loads = pick(loads, math.ceil(CONTROLLABLE_LOAD_FRACTION * len(loads)))
     n_adjust = len(ramp_gens) + len(ctrl_loads)
-    if n_adjust == 0:
+    if n_adjust == 0:  # the case has neither generation nor load
         raise NoAdjustableSourcesError("scenario selects zero adjustable sources")
 
     pgs, pds = [], []
@@ -534,19 +530,13 @@ def randomize_scenario(case: PowerCase, cfg: ScenarioConfig, sample: int = 0) ->
 class RampSpec:
     """Load increase in one area, compensated by generators elsewhere.
 
-    mode "uniform" adds the same MW increment to every load bus of the
-    area (the increment is sized so the area total grows by the loading
-    fraction); "proportional" scales each load by (1 + loading).  Either
-    way the compensating generators each pick up an equal share.
+    Every load bus of the area gets the same MW increment, sized so the
+    area total grows by the loading fraction; the compensating generators
+    each pick up an equal share.
     """
 
     load_area: int
     gen_areas: tuple[int, ...]
-    mode: str = "uniform"
-
-    def __post_init__(self):
-        if self.mode not in ("uniform", "proportional"):
-            raise InvalidSpecError(f"unknown ramp mode {self.mode!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -612,7 +602,7 @@ def _ramp_mw(case: PowerCase, ramp: RampSpec, loading: float) -> tuple[list[floa
     for b in case.buses:
         pg, pd = b.pg_mw, b.pd_mw
         if b.id in load_ids:
-            pd = pd + increment if ramp.mode == "uniform" else pd * (1.0 + loading)
+            pd = pd + increment
         if b.id in gen_ids:
             pg = pg + share
         pgs.append(pg)
@@ -661,21 +651,22 @@ def contingency_scan(case: PowerCase, trips: list[str], ramp: RampSpec, loadings
     angle over limit angle) per loading, plus the exact loadings at which
     the first line reaches its thermal limit and the margin reaches one.
 
-    A scan costs two flow solves.  In both ramp modes the injections are
-    affine in the loading s, and the rotating-frame shift and
-    psi = B^T L^dagger omega are linear in omega.  So on the tripped network
-    every edge flow is, in exact arithmetic, psi(s) = psi0 + s psi1 with
-    psi0 = psi(0) and psi1 = psi(1) - psi(0): the grid is one broadcast, and
+    A scan costs two flow solves.  The ramp's injections are affine in the
+    loading s, and the rotating-frame shift and psi = B^T L^dagger omega
+    are linear in omega.  So on the tripped network every edge flow is, in
+    exact arithmetic, psi(s) = psi0 + s psi1 with psi0 = psi(0) and
+    psi1 = psi(1) - psi(0): the grid is one broadcast, and
     each crossing is a root of |psi0_e + s psi1_e| = c_e (_first_crossing),
     with c_e = 1 for the margin and sin(limit_e) for a limited line (inf
     above pi/2, where arcsin never reaches the limit).  The two ramped
     injection vectors come from apply_ramp's arithmetic without building
-    ramped buses.  loadings must be finite and strictly increasing
-    (InvalidSpecError, a ValueError, otherwise).
+    ramped buses.  loadings must be non-empty, finite and strictly
+    increasing (InvalidSpecError, a ValueError, otherwise).
     """
     loadings = np.asarray(loadings, dtype=float)
-    if loadings.ndim != 1 or not np.all(np.isfinite(loadings)):
-        raise InvalidSpecError(f"loadings must be a finite 1-D sequence, got {loadings}")
+    if loadings.ndim != 1 or not loadings.size or not np.all(np.isfinite(loadings)):
+        raise InvalidSpecError(
+            f"loadings must be a non-empty finite 1-D sequence, got {loadings}")
     if np.any(np.diff(loadings) <= 0):  # the crossings need an ascending grid
         raise InvalidSpecError(f"loadings must be strictly increasing, got {loadings}")
     tripped = apply_trips(case, trips)

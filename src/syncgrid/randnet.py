@@ -21,37 +21,38 @@ t).  rng.philox_keys derives the Philox keys of many such paths in one
 vectorised pass, the words numpy's SeedSequence would give: the seed's
 share of SeedSequence's hash is computed once per seed, and each path word
 is then one round of uint32 array operations over all the paths.  One
-rng.PhiloxStreams generator per call is re-keyed for each stream, and the
-samplers read the streams as raw words, one PhiloxStreams.words call per
-stage of a block.  Each draw is decoded from the words bit for bit as a
-Generator on the same stream, substream(seed, *path), makes it: the erg
-and smn tests random() < p with rng.unit_floats_below, the rgg points with
-rng.unit_floats, the weights and the width and uniform frequencies
-(Generator.uniform) with rng.uniform_floats, the bipolar frequencies
-(Generator.choice of -1 or +1) with rng.coin_flips, and the small world's
-integers() with rng.WordDraws.  tests/test_randnet.py keeps the
-one-call-at-a-time builders as the reference; sample_weights and
-sample_frequencies keep their Generator form.
+rng.PhiloxStreams bit generator per call is re-keyed for each stream, and
+the samplers read the streams as raw words, one PhiloxStreams.words call
+per stage of a block or topology round.  Each draw is decoded from the
+words bit for bit as a Generator on the same stream, substream(seed,
+*path), makes it: the erg and smn tests random() < p with
+rng.unit_floats_below, the rgg points with rng.unit_floats, the weights and
+the width and uniform frequencies (Generator.uniform) with
+rng.uniform_floats, the bipolar frequencies (Generator.choice of -1 or +1)
+with rng.coin_flips, and the small world's integers() with rng.WordDraws.
+tests/test_randnet.py keeps the one-call-at-a-time builders as the
+reference; sample_weights and sample_frequencies keep their Generator form.
 
-Block sampler.  nominal_network decides its trials in blocks of 1, 2, 4, ...
-up to MAX_BLOCK trials.  Per block, one key pass covers every stream the
-block needs.  The topology builder draws every trial of the block in one
-call and returns integer edge arrays: per edge its trial and its 0-based
-ends src < snk, each trial's edges sorted as WeightedGraph stores them
-(erg and rgg pairs come out of _pairs in that order; only a small world's
-rewired edges are reordered).  One word pass per stage then gives every
-trial's weights and frequencies, and the block is filtered at once:
-connectivity by reachability from node 1 (a disconnected trial redraws at
-its next inner index, as generate_graph does), weighted degrees and the
-node-cut ratio, and one stacked LAPACK solve of the augmented Laplacians
-L + 11^T/n of the trials the node-cut filter passes, assembled as
-WeightedGraph.laplacian() and solve_poisson assemble them.  The block is
-then scanned in trial order: a trial whose node-cut ratio and stacked
-margin are both below 1 + CUT_SLACK becomes a WeightedGraph and
-sync_margin decides it.  The first accepted trial returns with attempts =
-t + 1; trials drawn after it in its block are discarded.  Growing blocks
-keep the erg cells, which accept within a few trials, from paying for
-trials they never need.
+Block sampler.  nominal_network decides its trials in blocks of 1, 2, 4,
+... up to MAX_BLOCK trials.  Per block, one key pass covers every trial's
+weight and frequency streams and its topology stream at inner 0.  The
+topology builder draws every trial of the block in one call and returns
+integer edge arrays: per edge its trial and its 0-based ends src < snk,
+each trial's edges sorted as WeightedGraph stores them (erg and rgg pairs
+come out of _pairs in that order; only a small world's rewired edges are
+reordered).  The trials still disconnected (by reachability from node 1)
+redraw together at their next inner index, each round deriving its own
+keys, as generate_graph does for its one sample.  One word pass per stage
+then gives every trial's weights and frequencies, and the block is filtered
+at once: weighted degrees and the node-cut ratio, and one stacked LAPACK
+solve of the augmented Laplacians L + 11^T/n of the trials the node-cut
+filter passes, assembled as WeightedGraph.laplacian() and solve_poisson
+assemble them.  The block is then scanned in trial order: a trial whose
+node-cut ratio and stacked margin are both below 1 + CUT_SLACK becomes a
+WeightedGraph and sync_margin decides it.  The first accepted trial returns
+with attempts = t + 1; trials drawn after it in its block are discarded.
+Growing blocks keep the erg cells, which accept within a few trials, from
+paying for trials they never need.
 
 Node-cut pre-filter.  A draw whose worst single-node cut ratio
 sync.node_cut_ratio, max_i |omega_i| / deg_i, is at least 1 + CUT_SLACK is
@@ -61,14 +62,15 @@ is a flow with B diag(a) psi = omega, and at node i
 S = {i}).  A skipped draw could have been accepted only if rounding
 moved its computed margin below 1, by at least ratio - 1 >= CUT_SLACK =
 1e-9; the solve's rounding is about cond(L) * 1e-16 relative, far below
-that at the sizes studied.  The same slack covers the stacked margin.  It
-solves the same matrices and right-hand sides with the same LAPACK routine,
-so it equals sync_margin's bit for bit (tests check 10,000 draws); were its
-rounding ever to differ, the two would still agree to about cond(L) * 1e-16
-relative, so a trial whose stacked margin is at least 1 + CUT_SLACK has a
-sync_margin of at least 1 and is rejected either way.  Samples, margins and
-attempts thus stay bit for bit those of the one-trial-at-a-time loop (tests
-compare every decision with that loop).
+that at the sizes studied.  The same slack covers the stacked margin.
+Below graph.SPARSE_MIN_NODES nodes it solves sync_margin's matrices and
+right-hand sides with the same LAPACK routine, so it equals sync_margin's
+bit for bit (tests check 10,000 draws).  From there on sync_margin solves
+sparse, and the two agree to about cond(L) * 1e-16 relative, so a trial
+whose stacked margin is at least 1 + CUT_SLACK has a sync_margin of at
+least 1 and is rejected either way.  Samples, margins and attempts thus
+stay bit for bit those of the one-trial-at-a-time loop (tests compare
+every decision with that loop).
 """
 
 from __future__ import annotations
@@ -304,22 +306,18 @@ def _rewired_edges(draws: WordDraws, tests: list[int], m: int, p: float):
 
 _EDGE_MODELS = {"erg": _erg_edges, "rgg": _rgg_edges, "smn": _smn_edges}
 
-# Topology keys derived per stream pass, for inner draws window .. window + 3.
-_TOPOLOGY_KEYS = 4
-
 
 def _connectivity_error(spec: NominalNetworkSpec) -> ConnectivityRetryExceededError:
     return ConnectivityRetryExceededError(
         f"no connected {spec.model} graph with n={spec.n}, p={spec.p} in {MAX_RETRIES} tries")
 
 
-def _topology_paths(samples: np.ndarray, window: int) -> np.ndarray:
-    """Stream paths (s, _STAGE_TOPOLOGY, window + d), d < _TOPOLOGY_KEYS, per sample s in turn."""
-    paths = np.empty((len(samples), _TOPOLOGY_KEYS, 3), np.int64)
-    paths[:, :, 0] = samples[:, None]
-    paths[:, :, 1] = _STAGE_TOPOLOGY
-    paths[:, :, 2] = np.arange(window, window + _TOPOLOGY_KEYS)
-    return paths.reshape(-1, 3)
+def _topology_paths(samples: np.ndarray, inner: int) -> np.ndarray:
+    """Stream paths (s, _STAGE_TOPOLOGY, inner), one per sample s."""
+    paths = np.empty((len(samples), 3), np.int64)
+    paths[:, 0] = samples
+    paths[:, 1:] = _STAGE_TOPOLOGY, inner
+    return paths
 
 
 def _connected_draws(n: int, count: int, row: np.ndarray, src: np.ndarray,
@@ -351,47 +349,29 @@ def _connected_topologies(spec: NominalNetworkSpec, samples: np.ndarray, keys: n
     """The first connected draw of each topology sample, as (found, row, src, snk).
 
     Topology sample s draws from the streams (seed, s, _STAGE_TOPOLOGY,
-    inner) for inner = 0, 1, ... in turn, as generate_graph always has; keys,
-    (len(samples), _TOPOLOGY_KEYS, 2), holds the first _TOPOLOGY_KEYS.
-    Inner draw 0 of every sample is made and tested first.  A sample still
-    disconnected then draws the rest of its key window at once, and each
-    later window whole; its first connected draw is kept, so the draws past
-    it change nothing.  The edges are those of samples 0 .. found - 1 in the
-    builders' form, row being the sample's index: found stops before the
-    first sample with no connected draw in MAX_RETRIES, since the samples
-    after it are of no use to a caller, which raises there.
+    inner) for inner = 0, 1, ... in turn, as generate_graph always has; keys
+    are the samples' keys at inner 0.  Each round draws one inner stream of
+    every sample still disconnected.  The edges are those of samples 0 ..
+    found - 1 in the builders' form, row being the sample's index: found
+    stops before the first sample with no connected draw in MAX_RETRIES,
+    since the samples after it are of no use to a caller, which raises there.
     """
     n, build = spec.n, _EDGE_MODELS[spec.model]
-    found, kept = len(samples), []  # kept: per round, the edges of its first connected draws
-    pending = np.arange(len(samples))
-    lo, hi = 0, 1  # the inner draws of this round
-    while pending.size:
-        if lo == MAX_RETRIES:
+    found, kept = len(samples), []  # kept: per round, the edges of its connected draws
+    pending, inner = np.arange(len(samples)), 0
+    while True:
+        row, src, snk = build(n, spec.p, keys, streams)
+        hit = _connected_draws(n, len(pending), row, src, snk)
+        if hit.all():  # every draw is its sample's first connected one
+            kept.append((pending[row], src, snk))
+            break
+        keep = hit[row]
+        kept.append((pending[row[keep]], src[keep], snk[keep]))
+        pending, inner = pending[~hit], inner + 1
+        if inner == MAX_RETRIES:
             found = int(pending[0])
             break
-        if lo % _TOPOLOGY_KEYS == 0 and lo:
-            keys = philox_keys(spec.seed, _topology_paths(samples[pending], lo))
-            keys = keys.reshape(len(pending), _TOPOLOGY_KEYS, 2)
-        hi = min(hi, MAX_RETRIES)
-        width, at = hi - lo, lo % _TOPOLOGY_KEYS
-        row, src, snk = build(n, spec.p, keys[:, at:at + width].reshape(-1, 2), streams)
-        chosen = _connected_draws(n, len(pending) * width, row, src, snk)
-        if width == 1:
-            hit = chosen
-            if hit.all():  # every draw is its sample's first connected one
-                kept.append((pending[row], src, snk))
-                break
-        else:  # the first connected draw of each sample
-            connected = chosen.reshape(-1, width)
-            hit = connected.any(axis=1)
-            chosen = np.zeros_like(connected)
-            chosen[hit, connected.argmax(axis=1)[hit]] = True
-            chosen = chosen.ravel()
-        keep = chosen[row]
-        kept.append((pending[row[keep] // width], src[keep], snk[keep]))
-        pending, keys = pending[~hit], keys[~hit]
-        lo = hi
-        hi = (lo // _TOPOLOGY_KEYS + 1) * _TOPOLOGY_KEYS  # the end of lo's window
+        keys = philox_keys(spec.seed, _topology_paths(samples[pending], inner))
     if len(kept) == 1:
         row, src, snk = kept[0]
     else:  # each round's draws in sample order; a sample's edges stay in their order
@@ -414,7 +394,7 @@ def generate_graph(spec: NominalNetworkSpec, sample: int = 0) -> WeightedGraph:
     """
     _check_sample(sample, 1)
     samples = np.array([sample], np.int64)
-    keys = philox_keys(spec.seed, _topology_paths(samples, 0)).reshape(1, _TOPOLOGY_KEYS, 2)
+    keys = philox_keys(spec.seed, _topology_paths(samples, 0))
     found, _, src, snk = _connected_topologies(spec, samples, keys, PhiloxStreams())
     if not found:
         raise _connectivity_error(spec)
@@ -486,8 +466,11 @@ def _node_sums(n: int, row: np.ndarray, src: np.ndarray, snk: np.ndarray,
 def _stacked_margins(n: int, row: np.ndarray, starts: np.ndarray, src: np.ndarray,
                      snk: np.ndarray, weights: np.ndarray, degrees: np.ndarray,
                      omega: np.ndarray, solve: np.ndarray) -> np.ndarray:
-    """sync_margin(g_r, omega[r]).margin, bit for bit, of every trial r with solve[r];
-    inf for the others.
+    """sync_margin(g_r, omega[r]).margin of every trial r with solve[r]; inf for the others.
+
+    Bit for bit below graph.SPARSE_MIN_NODES nodes; from it on, sync_margin
+    solves sparse and the two agree to rounding, which CUT_SLACK covers
+    (module docstring).
 
     Trial r's graph g_r has the edges starts[r] .. starts[r + 1] - 1, sorted,
     with 0-based ends src < snk and the given weights; row[k] is edge k's
@@ -559,9 +542,8 @@ def _decide_block(spec: NominalNetworkSpec, sample: int, start: int, size: int,
     stage_paths[:, :, 2] = trials
     keys = philox_keys(spec.seed, np.concatenate([_topology_paths(samples, 0),
                                                   stage_paths.reshape(-1, 3)]))
-    stage_keys = keys[size * _TOPOLOGY_KEYS:].reshape(len(stages), size, 2)
-    keys = keys[:size * _TOPOLOGY_KEYS].reshape(size, _TOPOLOGY_KEYS, 2)
-    found, row, src, snk = _connected_topologies(spec, samples, keys, streams)
+    stage_keys = keys[size:].reshape(len(stages), size, 2)
+    found, row, src, snk = _connected_topologies(spec, samples, keys[:size], streams)
     if found:
         starts = np.searchsorted(row, np.arange(found + 1))
         if spec.weighted:

@@ -9,8 +9,8 @@ substream builds the generator through numpy's SeedSequence.  Samplers that
 open thousands of streams use philox_keys and PhiloxStreams instead:
 philox_keys derives the Philox keys of many paths in one vectorised pass,
 the same words as SeedSequence(seed, spawn_key=path).generate_state(2,
-np.uint64), and PhiloxStreams re-keys one generator to each of them, so its
-draws are those of substream(seed, *path) bit for bit.
+np.uint64), and PhiloxStreams re-keys one bit generator to each of them, so
+the raw words it reads are those of substream(seed, *path) bit for bit.
 
 SeedSequence hashes the entropy, the seed's 32-bit words padded with zeros
 to the 4-word pool and then the path's words, into the pool.  The first
@@ -78,8 +78,8 @@ def _mix(x: int, y: int) -> int:
 def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """SeedSequence's pool after the seed's words, and the hash constant that follows.
 
-    The same for every path: an empty path hashes 0 where a non-empty one
-    pads the seed with 0.  A negative seed raises ValueError, as SeedSequence does.
+    The same for every non-empty path, which pads the seed's words with 0.  A
+    negative seed raises ValueError, as SeedSequence does.
     """
     if seed < 0:
         raise ValueError("expected non-negative integer")
@@ -112,8 +112,6 @@ def _path_words(paths: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     every entry is one word)."""
     if paths.dtype.kind not in "iu":
         raise TypeError(f"path entries must be integers, got {paths.dtype}")
-    if not paths.size:
-        return paths.T.astype(_U32), None
     if paths.min() < 0:
         raise ValueError("expected non-negative integer")
     if paths.max() <= _M32:
@@ -154,8 +152,9 @@ def philox_keys(seed: int, paths) -> np.ndarray:
     """Philox keys of the streams (seed, *paths[r]) for every row r, as an (R, 2) uint64 array.
 
     Row r equals np.random.SeedSequence(seed, spawn_key=paths[r])
-    .generate_state(2, np.uint64).  paths is an (R, k) array of integers in
-    [0, 2^64); a negative seed or entry raises ValueError, as SeedSequence does.
+    .generate_state(2, np.uint64).  paths is an (R, k) array, R and k at least
+    one, of integers in [0, 2^64); a negative seed or entry raises ValueError,
+    as SeedSequence does.
     """
     pool0, const = _seed_pool(int(seed))
     paths = np.asarray(paths)
@@ -170,8 +169,6 @@ def philox_keys(seed: int, paths) -> np.ndarray:
         mixed = _MIX_L_32 * pool - h[j]
         mixed ^= mixed >> _SHIFT_16
         pool = mixed if counts is None else np.where((j < counts)[:, None], mixed, pool)
-    if not len(words):  # empty paths: no word has broadcast the seed's pool
-        pool = np.tile(pool, (words.shape[1], 1))
     pool ^= _OUT_XOR
     pool *= _OUT_MULT
     pool ^= pool >> _SHIFT_16
@@ -187,35 +184,26 @@ class _Unkeyed(np.random.bit_generator.ISeedSequence):
 
 
 class PhiloxStreams:
-    """One Philox generator, re-keyed for each stream.
+    """One Philox bit generator, re-keyed for each stream.
 
-    keyed(key) returns the generator at the start of the stream with that
-    key, a row of philox_keys: the state of a Philox newly built from the
-    stream's SeedSequence (counter 0, empty buffer, no cached 32-bit half).
     words(keys, count, start) reads raw 64-bit words of many streams, one
-    random_raw call per stream.
+    random_raw call per stream, each key a row of philox_keys.
     """
 
     def __init__(self):
         self._bitgen = np.random.Philox(_Unkeyed())
-        self._generator = np.random.Generator(self._bitgen)
         # Python ints throughout: the state setter reads them faster than numpy
         # array elements, and copies every value into the generator.
         self._stream = {"counter": [0, 0, 0, 0], "key": [0, 0]}
         self._state = {"bit_generator": "Philox", "state": self._stream,
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-    def keyed(self, key: np.ndarray) -> np.random.Generator:
-        self._stream["counter"][0] = 0
-        self._stream["key"] = key.tolist()
-        self._bitgen.state = self._state
-        return self._generator
-
     def words(self, keys: np.ndarray, count: int, start: int = 0) -> np.ndarray:
         """Raw words start .. start + count - 1 of the stream of every key, (R, count) uint64.
 
-        start is a multiple of 4.  Word w is the w-th next_uint64 of a
-        generator keyed(key): Generator.random() decodes it with unit_floats,
+        start is a multiple of 4.  Word w is the w-th next_uint64 of the
+        stream's generator, substream(seed, *path) for the path the key was
+        derived from: Generator.random() decodes it with unit_floats,
         Generator.integers with WordDraws.integers.  Philox adds one to its
         counter before it enciphers the next four words, so words 4c .. 4c + 3
         follow counter c.
@@ -281,7 +269,7 @@ _READ_ON = 16
 
 class WordDraws:
     """Generator.random() and Generator.integers(c) of one stream, decoded from
-    its raw words in the order a generator keyed(key) would draw them.
+    its raw words in the order the stream's generator would draw them.
 
     words are the stream's first raw words as a sequence of ints, a multiple
     of 4 of them (a list, or a memoryview of a row of streams.words); a draw

@@ -298,13 +298,23 @@ def test_cli_reports_missing_input_files(tmp_path, capsys, omega_file, flag):
     assert err.startswith("error: ") and "No such file or directory" in err and missing in err
 
 
-def test_montecarlo_rejects_zero_samples(tmp_path, capsys):
+@pytest.mark.parametrize("argv, message", [
+    ("montecarlo --cells CELLS --samples 0", "need at least one sample"),
+    ("accuracy --samples 0", "need at least one sample"),
+    ("accuracy --samples -2", "need at least one sample"),
+    (f"scenario --case {RTS96} --samples -1", "need at least one sample"),
+    (f"contingency --case {RTS96} --trip gen:323 --ramp southeast --points 0", "need at least one loading point"),
+    (f"contingency --case {RTS96} --trip gen:323 --ramp southeast --points -1", "need at least one loading point"),
+], ids=["montecarlo-samples-0", "accuracy-samples-0", "accuracy-samples-negative",
+        "scenario-samples-negative", "contingency-points-0", "contingency-points-negative"])
+def test_cli_rejects_nonpositive_counts(tmp_path, capsys, argv, message):
+    # a count below one is an input error: no table is written
     cells = tmp_path / "cells.json"
     cells.write_text(json.dumps([{"n": 10, "model": "erg", "p": 0.3, "alpha": 8.0}]))
-    code = main(["montecarlo", "--cells", str(cells), "--samples", "0",
-                 "--out", str(tmp_path / "t.csv")])
-    assert code == 1
-    assert capsys.readouterr().err == "error: need at least one sample\n"
+    out = tmp_path / "t.csv"
+    assert main(argv.replace("CELLS", str(cells)).split() + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -246,10 +246,9 @@ def test_scenario_determinism():
 
 
 def test_scenario_no_adjustable_sources():
-    case = two_bus_case()
-    cfg = ScenarioConfig(fast_ramp_fraction=0.0, controllable_load_fraction=0.0)
+    # with neither generation nor load there is nothing to rebalance with
     with pytest.raises(NoAdjustableSourcesError):
-        randomize_scenario(case, cfg)
+        randomize_scenario(two_bus_case(pg=0.0), ScenarioConfig())
 
 
 @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
@@ -301,23 +300,20 @@ def test_trip_missing_reference():
         apply_trips(case, ["branch:1-9"])
 
 
-def test_malformed_trip_and_ramp_mode_are_spec_errors():
+def test_malformed_trips_are_spec_errors():
     case = two_bus_case()
     for trip in ("foo:1", "gen:abc", "branch:5", "gen:", "branch:1-"):
         with pytest.raises(InvalidSpecError, match=repr(trip)):
             apply_trips(case, [trip])
-    with pytest.raises(InvalidSpecError, match="'sideways'"):
-        RampSpec(3, (1, 2), mode="sideways")
 
 
 def test_ramp_conserves_balance():
     case = bundled_case("rts96")
-    for mode in ("uniform", "proportional"):
-        ramped = apply_ramp(case, RampSpec(3, (1, 2), mode=mode), 0.8)
-        assert abs(float(np.sum(ramped.injections_pu()))) <= 1e-9
-        area3 = sum(b.pd_mw for b in ramped.buses if b.area == 3)
-        nominal3 = sum(b.pd_mw for b in case.buses if b.area == 3)
-        assert area3 == pytest.approx(1.8 * nominal3, rel=1e-12)
+    ramped = apply_ramp(case, RampSpec(3, (1, 2)), 0.8)
+    assert abs(float(np.sum(ramped.injections_pu()))) <= 1e-9
+    area3 = sum(b.pd_mw for b in ramped.buses if b.area == 3)
+    nominal3 = sum(b.pd_mw for b in case.buses if b.area == 3)
+    assert area3 == pytest.approx(1.8 * nominal3, rel=1e-12)
 
 
 def test_contingency_scan_nominal_point():
@@ -371,7 +367,7 @@ def _explicit_margin_and_utilization(tripped, ramp, s):
 
 @pytest.mark.parametrize("trips, ramp", [
     (["gen:323"], RampSpec(3, (1, 2))),
-    (["gen:323"], RampSpec(3, (1, 2), mode="proportional")),
+    (["gen:323"], RampSpec(1, (2, 3))),
     (["branch:103-109"], RampSpec(3, (1, 2))),
     ([], RampSpec(3, (1, 2))),
 ])
@@ -431,10 +427,10 @@ def test_angle_limit_above_half_pi_is_never_reached():
 
 
 @pytest.mark.parametrize("loadings", [[1.0, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, float("nan"), 1.0],
-                                      [0.0, float("inf")]])
+                                      [0.0, float("inf")], []])
 def test_contingency_scan_rejects_bad_loadings(loadings):
     # the crossings start from the last grid loading below the level, so the
-    # grid must be finite and ascending
+    # grid must be finite and ascending; an empty grid scans nothing
     with pytest.raises(ValueError, match="loadings"):
         contingency_scan(bundled_case("case9"), [], RampSpec(1, (1,)), loadings=loadings)
 
@@ -550,9 +546,8 @@ def test_returned_angle_limits_are_a_copy():
     assert after.binding_line == before.binding_line
 
 
-@pytest.mark.parametrize("mode", ["uniform", "proportional"])
-def test_ramp_helper_matches_apply_ramp(mode):
-    ramp = RampSpec(3, (1, 2), mode=mode)
+def test_ramp_helper_matches_apply_ramp():
+    ramp = RampSpec(3, (1, 2))
     tripped = apply_trips(randomize_scenario(bundled_case("rts96"), ScenarioConfig(seed=9)),
                           ["gen:323"])
     for s in (0.0, 0.37, 1.0, 2.0):

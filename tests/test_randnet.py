@@ -159,9 +159,10 @@ def test_smn_edges_match_reference_sampler():
 
 @pytest.mark.parametrize("prefetch", [None, 4])
 def test_smn_block_matches_scalar_builder(monkeypatch, prefetch):
-    # 20,000 keyed draws in blocks of 1 and 32; n = 5 only meets count == 0 (K5) and
-    # n = 6 starts at count == 1, which reads no word.  With 4 prefetched words a
-    # stream reads its later tests and bounded draws on from the stream.
+    # 20,000 draws from the streams substream(case, t) in blocks of 1 and 32; n = 5
+    # only meets count == 0 (K5) and n = 6 starts at count == 1, which reads no word.
+    # With 4 prefetched words a stream reads its later tests and bounded draws on
+    # from the stream.
     if prefetch is not None:
         monkeypatch.setattr(rn, "_smn_words", lambda m: prefetch)
     cases = [(3, .5), (4, .7), (5, .5), (6, 1.0), (7, .95), (10, .9), (20, .1), (30, 0.0),
@@ -174,8 +175,8 @@ def test_smn_block_matches_scalar_builder(monkeypatch, prefetch):
             for at in range(0, len(keys), block):
                 chunk = keys[at:at + block]
                 got = _trial_edges(_smn_edges(n, p, chunk, streams), len(chunk))
-                for key, edges in zip(chunk, got):
-                    assert edges == _oriented(_scalar_smn_edges(n, p, streams.keyed(key)))
+                for t, edges in enumerate(got, start=at):
+                    assert edges == _oriented(_scalar_smn_edges(n, p, substream(case, t)))
                     draws += 1
     assert draws >= (20_000 if prefetch is None else 1_000)
 
@@ -273,12 +274,13 @@ def test_nominal_network_builds_graphs_only_for_candidates(monkeypatch):
 
 
 def _plain_generate_graph(nspec, sample):
-    """generate_graph as a loop over the (seed, sample, 0, trial) streams, one draw at a time."""
+    """generate_graph as a loop over the (seed, sample, 0, trial) streams, one draw at a
+    time; returns the first connected draw and its trial."""
     for trial in range(MAX_RETRIES):
         rng = substream(nspec.seed, sample, 0, trial)
         g = WeightedGraph(nspec.n, _SCALAR_MODELS[nspec.model](nspec.n, nspec.p, rng))
         if is_connected(g):
-            return g
+            return g, trial
     raise ConnectivityRetryExceededError("no connected draw")
 
 
@@ -288,7 +290,7 @@ def _plain_nominal_network(nspec, sample=0):
     draws)."""
     cut_rejectable = 0
     for trial in range(MAX_RETRIES):
-        g = _plain_generate_graph(nspec, sample * MAX_RETRIES + trial)
+        g, _ = _plain_generate_graph(nspec, sample * MAX_RETRIES + trial)
         if nspec.weighted:
             g = sample_weights(g, substream(nspec.seed, sample, 1, trial))
         omega = sample_frequencies(nspec.n, nspec.distribution,
@@ -306,13 +308,15 @@ def _plain_nominal_network(nspec, sample=0):
     ("smn", 12, 0.2, 5.0, "width", False), ("erg", 10, 0.3, None, "uniform", True),
     ("rgg", 12, 0.3, None, "uniform", True), ("erg", 10, 0.35, None, "bipolar", True),
     ("erg", 10, 0.25, None, "bipolar", False), ("rgg", 14, 0.3, None, "bipolar", True),
+    ("erg", 220, 0.03, 5.0, "width", True),
 ], ids=["erg-12-0.3-10.0", "rgg-12-0.45-9.0", "smn-20-0.2-13.0", "erg-10-0.3-8.0-unit",
         "smn-12-0.2-5.0-unit", "erg-10-0.3-uniform", "rgg-12-0.3-uniform", "erg-10-0.35-bipolar",
-        "erg-10-0.25-bipolar-unit", "rgg-14-0.3-bipolar"])
+        "erg-10-0.25-bipolar-unit", "rgg-14-0.3-bipolar", "erg-220-0.03-5.0"])
 def test_nominal_network_decisions_match_plain_rejection_loop(model, n, p, alpha, distribution,
                                                               weighted):
     # the blocks, the node-cut filter and the stacked margins only skip draws that
-    # sync_margin rejects as well
+    # sync_margin rejects as well; from n = SPARSE_MIN_NODES on sync_margin solves
+    # sparse and the stacked margins may differ from it in the last bits
     skipped = 0
     for seed in range(40):
         s = spec(n=n, model=model, p=p, alpha=alpha, distribution=distribution,
@@ -328,15 +332,67 @@ def test_nominal_network_decisions_match_plain_rejection_loop(model, n, p, alpha
     assert skipped > 0  # the pre-filter was exercised on this model
 
 
-@pytest.mark.parametrize("model, n, p", [("erg", 10, 0.3), ("erg", 8, 0.2), ("rgg", 12, 0.4),
-                                         ("smn", 30, 0.2)])
-def test_generate_graph_matches_plain_loop(model, n, p):
-    # erg on 8 nodes at p = 0.2 often needs redraws past the first key window;
-    # 2^32 + 5 takes a two-word stream path
+@pytest.mark.parametrize("model, n, p, depth", [
+    pytest.param("erg", 10, 0.3, 0, id="erg-10-0.3"),
+    pytest.param("erg", 8, 0.2, 8, id="erg-8-0.2"),
+    pytest.param("rgg", 12, 0.4, 0, id="rgg-12-0.4"),
+    pytest.param("smn", 30, 0.2, 0, id="smn-30-0.2"),
+    pytest.param("erg", 10, 0.12, 100, id="erg-10-0.12"),
+])
+def test_generate_graph_matches_plain_loop(model, n, p, depth):
+    # the sparse erg cases redraw for many rounds: some sample's first connected
+    # draw is at inner index depth or later; 2^32 + 5 takes a two-word stream path
+    deepest = 0
     for seed in range(30):
         s = spec(n=n, model=model, p=p, seed=seed)
         for sample in (0, 3, 2**32 + 5):
-            assert generate_graph(s, sample) == _plain_generate_graph(s, sample)
+            g, trial = _plain_generate_graph(s, sample)
+            assert generate_graph(s, sample) == g
+            deepest = max(deepest, trial)
+    assert deepest >= depth
+
+
+def test_topology_rounds_derive_one_key_per_pending_sample(monkeypatch):
+    # a block derives its trials' inner-draw-0 keys and stage keys in one pass; each
+    # later round derives one key per sample it redraws, right before that draw
+    keys_of, build = rn.philox_keys, _EDGE_MODELS["erg"]
+    events = []
+
+    def counted_keys(seed, paths):
+        events.append(("keys", len(paths)))
+        return keys_of(seed, paths)
+
+    def counted_build(n, p, keys, streams):
+        events.append(("draw", len(keys)))
+        return build(n, p, keys, streams)
+
+    def passes():
+        """(rows, draws) of each key pass and of the draws that follow it."""
+        assert [kind for kind, _ in events] == ["keys", "draw"] * (len(events) // 2)
+        pairs = [(rows, drawn) for (_, rows), (_, drawn) in zip(events[::2], events[1::2])]
+        events.clear()
+        return pairs
+
+    monkeypatch.setattr(rn, "philox_keys", counted_keys)
+    monkeypatch.setitem(_EDGE_MODELS, "erg", counted_build)
+    redraws = 0
+    for weighted, stages in ((True, 2), (False, 1)):
+        for seed in range(10):
+            s = spec(n=8, model="erg", p=0.2, alpha=6.0, weighted=weighted, seed=seed)
+            attempts = nominal_network(s).attempts
+            sizes, pending = [], 0
+            for rows, drawn in passes():
+                if rows == drawn * (1 + stages):  # a block's first pass
+                    sizes.append(drawn)
+                else:  # a redraw round of that block
+                    assert rows == drawn <= pending
+                    redraws += 1
+                pending = drawn
+            assert sizes == [min(rn.BLOCK_GROWTH**b, rn.MAX_BLOCK) for b in range(len(sizes))]
+            assert sum(sizes[:-1]) < attempts <= sum(sizes)
+            generate_graph(s, seed)
+            assert all(rows == drawn == 1 for rows, drawn in passes())
+    assert redraws > 0
 
 
 def test_retry_errors_come_after_exactly_max_retries_trials(monkeypatch):

@@ -1,5 +1,6 @@
 """Stream keys and raw words: philox_keys, PhiloxStreams and the word decoders against
-numpy's SeedSequence, substream and Generator (the decoding is numpy 2.4's)."""
+numpy's SeedSequence, substream and Generator (the decoding is numpy 2.4's).  Every
+reference generator is substream(seed, *path) of the path a key was derived from."""
 
 import math
 
@@ -47,20 +48,17 @@ def test_philox_keys_reject_what_seed_sequence_rejects():
         philox_keys(3, np.array([[0.5]]))
 
 
-def _draws(rng):
-    return (rng.random(), rng.integers(7), rng.integers(1000, size=3),
-            rng.uniform(0.5, 5.0, size=4), rng.choice([-1.0, 1.0], size=5))
-
-
 def test_streams_draw_what_substream_draws():
-    # one generator re-keyed path after path; integers leaves half a 64-bit word
-    # cached, which re-keying must drop as a new generator would
+    # one bit generator re-keyed path after path reads each stream's raw words from
+    # its start, or from a later counter, as a new substream's bit generator does
     streams = PhiloxStreams()
     paths = np.array([[5, 0, 3], [5, 1, 3], [2**33, 2, 0], [7, 0, 1]])
     for seed in (0, 9, 2**64 + 3):
-        for path, key in zip(paths, philox_keys(seed, paths)):
-            got, want = _draws(streams.keyed(key)), _draws(substream(seed, *path.tolist()))
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        keys = philox_keys(seed, paths)
+        first, later = streams.words(keys, 9), streams.words(keys, 6, 8)
+        for path, head, tail in zip(paths.tolist(), first, later):
+            want = substream(seed, *path).bit_generator.random_raw(14)
+            assert np.array_equal(head, want[:9]) and np.array_equal(tail, want[8:])
 
 
 BOUNDS = (1, 2, 3, 29, 2**31 + 12345)  # 2^31 + 12345 rejects about half its 32-bit halves
@@ -70,11 +68,11 @@ def test_word_draws_equal_generator_draws():
     # 2,000 streams, each drawing random() and integers(c) in its own random order
     # from 8 prefetched words, so most read on; integers(1) reads no word
     streams, order = PhiloxStreams(), np.random.default_rng(2024)
-    keys = philox_keys(11, np.arange(2000)[:, None])
+    keys = philox_keys(11, np.arange(2000)[:, None])  # the streams substream(11, t)
     words = streams.words(keys, 8)
     calls = order.integers(0, len(BOUNDS) + 1, size=(len(keys), 24))  # len(BOUNDS): random()
     read_on = 0
-    for key, first, stream_calls in zip(keys, words.tolist(), calls.tolist()):
+    for t, (key, first, stream_calls) in enumerate(zip(keys, words.tolist(), calls.tolist())):
         draws = WordDraws(streams, key, first)
         got = []
         for call in stream_calls:
@@ -85,7 +83,7 @@ def test_word_draws_equal_generator_draws():
                 got.append(draws.integers(BOUNDS[call]))
                 assert BOUNDS[call] > 1 or draws.pos == before
         read_on += draws.pos > 8
-        gen = streams.keyed(key)
+        gen = substream(11, t)
         want = [gen.random() if call == len(BOUNDS) else int(gen.integers(BOUNDS[call]))
                 for call in stream_calls]
         assert got == want
@@ -96,10 +94,10 @@ def test_lemire_rejections_read_on():
     # 2,000 draws of integers(2^31 + 12345) take about 4,000 halves: about half are
     # rejected, and the draws read on past the 1,000 prefetched words
     streams, c = PhiloxStreams(), 2**31 + 12345
-    for key in philox_keys(5, np.arange(3)[:, None]):
+    for t, key in enumerate(philox_keys(5, np.arange(3)[:, None])):
         draws = WordDraws(streams, key, streams.words(key[None], 1000)[0].tolist())
         got = [draws.integers(c) for _ in range(2000)]
-        assert got == streams.keyed(key).integers(c, size=2000).tolist()
+        assert got == substream(5, t).integers(c, size=2000).tolist()
         halves = 2 * draws.pos - (draws._half is not None)
         assert 0.45 < (halves - 2000) / halves < 0.55
         assert draws.pos > 1000
@@ -108,14 +106,14 @@ def test_lemire_rejections_read_on():
 def test_unit_floats_equal_random_and_uniform():
     # Generator.random() and uniform(lo, hi) of the first words, bit for bit
     streams = PhiloxStreams()
-    keys = philox_keys(3, np.arange(2000)[:, None])
+    keys = philox_keys(3, np.arange(2000)[:, None])  # the streams substream(3, r)
     words = streams.words(keys, 61)
     later = streams.words(keys[:50], 16, 40)  # words 40 .. 55
     bounds = [(0.5, 5.0), (-6.5, 6.5), (-1.0, 1.0)]
-    for r, key in enumerate(keys):
+    for r in range(len(keys)):
         lo, hi = bounds[r % 3]
-        assert unit_floats(words[r]).tobytes() == streams.keyed(key).random(61).tobytes()
-        uniform = streams.keyed(key).uniform(lo, hi, 61)
+        assert unit_floats(words[r]).tobytes() == substream(3, r).random(61).tobytes()
+        uniform = substream(3, r).uniform(lo, hi, 61)
         assert (lo + (hi - lo) * unit_floats(words[r])).tobytes() == uniform.tobytes()
         if r < 50:
             assert np.array_equal(later[r], words[r, 40:56])
@@ -126,16 +124,16 @@ def test_uniform_floats_and_coin_flips_equal_uniform_and_choice():
     # uniform(0.5, 5.0, m), its frequencies uniform(-a/2, a/2, n), uniform(-1, 1, n)
     # or choice([-1.0, 1.0], n), a 32-bit half per node
     streams, signs = PhiloxStreams(), np.array([-1.0, 1.0])
-    keys = philox_keys(23, np.arange(2000)[:, None])
+    keys = philox_keys(23, np.arange(2000)[:, None])  # the streams substream(23, r)
     for count in (2, 7, 30, 61):
         words = streams.words(keys, count)
         flips = signs[coin_flips(streams.words(keys, (count + 1) // 2), count)]
         laws = [(0.5, 5.0), (-13.0 / 2, 13.0 / 2), (-1.0, 1.0)]
         decoded = [uniform_floats(words, lo, hi) for lo, hi in laws]
-        for r, key in enumerate(keys):
+        for r in range(len(keys)):
             for (lo, hi), got in zip(laws, decoded):
-                assert got[r].tobytes() == streams.keyed(key).uniform(lo, hi, count).tobytes()
-            assert flips[r].tobytes() == streams.keyed(key).choice(signs, count).tobytes()
+                assert got[r].tobytes() == substream(23, r).uniform(lo, hi, count).tobytes()
+            assert flips[r].tobytes() == substream(23, r).choice(signs, count).tobytes()
 
 
 def test_unit_floats_below_equals_the_float_comparison():
